@@ -32,7 +32,8 @@ Endpoints
 Invalid requests (unknown node, malformed body) return HTTP 400 with
 ``{"error": message}``; unknown paths return 404.  All handler errors
 derived from :class:`repro.errors.ReproError` map to 400 — anything
-else is a real bug and surfaces as a 500.
+else is a real bug and surfaces as a 500 with ``{"error": message}``
+naming the exception type; the server keeps serving.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"unknown path {parsed.path!r}"})
         except (ReproError, ValueError) as exc:
             self._reply(400, {"error": str(exc)})
+        except Exception as exc:  # a bug in the service, not a bad request
+            self._internal_error(exc)
 
     def do_POST(self) -> None:
         parsed = urlparse(self.path)
@@ -160,8 +163,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(404, {"error": f"unknown path {parsed.path!r}"})
         except (ReproError, ValueError) as exc:
             self._reply(400, {"error": str(exc)})
+        except Exception as exc:  # a bug in the service, not a bad request
+            self._internal_error(exc)
 
     # ------------------------------------------------------------------
+    def _internal_error(self, exc: Exception) -> None:
+        # the server's error hook prints the traceback; the client gets a
+        # reply instead of a dropped connection and the server keeps going
+        self.server.handle_error(self.request, self.client_address)
+        self._reply(500, {"error": f"{type(exc).__name__}: {exc}"})
+
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
         raw = self.rfile.read(length) if length else b"{}"

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
 from repro.markov.walk_batch import walk_endpoints
@@ -36,6 +37,11 @@ from repro.sybil.tickets import (
 )
 
 __all__ = ["GateKeeperConfig", "GateKeeperResult", "GateKeeper"]
+
+
+def _check_admission_factor(admission_factor: float) -> None:
+    if not 0.0 < admission_factor <= 1.0:
+        raise SybilDefenseError("admission_factor must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -67,8 +73,7 @@ class GateKeeperConfig:
     def __post_init__(self) -> None:
         if self.num_distributors < 1:
             raise SybilDefenseError("num_distributors must be positive")
-        if not 0.0 < self.admission_factor <= 1.0:
-            raise SybilDefenseError("admission_factor must be in (0, 1]")
+        _check_admission_factor(self.admission_factor)
         if not 0.0 < self.reach_fraction <= 1.0:
             raise SybilDefenseError("reach_fraction must be in (0, 1]")
 
@@ -91,7 +96,10 @@ class GateKeeperResult:
         """Re-threshold the same distribution runs at a different f.
 
         Lets Table II sweep f without re-running the distributors.
+        ``admission_factor`` must lie in (0, 1], as in
+        :class:`GateKeeperConfig`.
         """
+        _check_admission_factor(admission_factor)
         needed = max(
             1, int(np.ceil(admission_factor * self.distributors.size))
         )
@@ -179,16 +187,17 @@ class GateKeeper:
 
     def run(self, controller: int) -> GateKeeperResult:
         """Run the full admission protocol for one controller."""
-        distributors = self.select_distributors(controller)
-        self.warm_distributors(distributors)
-        reach_counts = np.zeros(self._graph.num_nodes, dtype=np.int64)
-        for distributor in distributors:
-            result = self._distribution(int(distributor))
-            reach_counts[result.reached] += 1
-        needed = max(
-            1, int(np.ceil(self._config.admission_factor * distributors.size))
-        )
-        admitted = np.flatnonzero(reach_counts >= needed).astype(np.int64)
+        with telemetry.current().span("sybil.gatekeeper.run"):
+            distributors = self.select_distributors(controller)
+            self.warm_distributors(distributors)
+            reach_counts = np.zeros(self._graph.num_nodes, dtype=np.int64)
+            for distributor in distributors:
+                result = self._distribution(int(distributor))
+                reach_counts[result.reached] += 1
+            needed = max(
+                1, int(np.ceil(self._config.admission_factor * distributors.size))
+            )
+            admitted = np.flatnonzero(reach_counts >= needed).astype(np.int64)
         return GateKeeperResult(
             controller=int(controller),
             distributors=distributors,

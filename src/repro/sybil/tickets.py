@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
 from repro.graph.traversal import bfs_distances, bfs_distances_block
@@ -28,6 +29,9 @@ __all__ = [
     "distribute_tickets",
     "adaptive_ticket_count",
 ]
+
+# Budgets of the doubling ladder propagated together in one level sweep.
+_LADDER_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,16 @@ class TicketPlan:
     GateKeeper's adaptive doubling re-runs the distribution with larger
     budgets; the BFS levels and forward-edge classification only depend
     on (graph, source), so they are computed once here and reused.
+
+    The plan also lays the distribution out level by level.  Reachable
+    nodes get *positions* in level order (ascending id within a level),
+    so the destinations of level ``L``'s forward edges are exactly the
+    contiguous block of level ``L + 1`` positions.  Forward edges are
+    stably sorted by source level, so each level's edges form one slice
+    that keeps CSR order.  A distribution then touches each forward edge
+    once, and per-destination sums accumulate in CSR edge order — the
+    order of a sequential ``np.add.at`` — which keeps every output
+    byte-identical across budgets and block sizes.
     """
 
     def __init__(
@@ -78,15 +92,38 @@ class TicketPlan:
                 f"precomputed distances must have shape ({n},)"
             )
         self._dist = distances
-        reachable = self._dist >= 0
-        self._max_level = int(self._dist[reachable].max()) if reachable.any() else 0
         src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
         dst = graph.indices
-        forward = (self._dist[src] >= 0) & (self._dist[dst] == self._dist[src] + 1)
+        forward = (distances[src] >= 0) & (distances[dst] == distances[src] + 1)
         self._fsrc = src[forward]
         self._fdst = dst[forward]
-        self._forward_count = np.bincount(self._fsrc, minlength=n).astype(float)
-        self._src_level = self._dist[self._fsrc]
+
+        reachable = np.flatnonzero(distances >= 0)
+        node_levels = distances[reachable]
+        self._nodes = reachable[np.argsort(node_levels, kind="stable")]
+        # level L occupies positions [_node_offsets[L], _node_offsets[L + 1])
+        self._node_offsets = np.concatenate(([0], np.cumsum(np.bincount(node_levels))))
+        position = np.empty(n, dtype=np.int64)
+        position[self._nodes] = np.arange(self._nodes.size)
+        # forward links per position; a node without any forwards nothing,
+        # so its divisor is never used and 1 keeps 0/0 out of the sweep
+        fanout = np.bincount(position[self._fsrc], minlength=self._nodes.size)
+        self._fanout = np.maximum(fanout, 1).astype(float)
+
+        edge_order = np.argsort(distances[self._fsrc], kind="stable")
+        edge_levels = distances[self._fsrc[edge_order]]
+        # level L's forward edges are [_edge_offsets[L], _edge_offsets[L + 1])
+        self._edge_offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(edge_levels, minlength=1)))
+        )
+        # each edge's source and destination index within its level's block
+        local = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        self._edge_src = (
+            position[self._fsrc[edge_order]] - self._node_offsets[edge_levels]
+        ).astype(local)
+        self._edge_dst = (
+            position[self._fdst[edge_order]] - self._node_offsets[edge_levels + 1]
+        ).astype(local)
 
     @property
     def source(self) -> int:
@@ -106,36 +143,66 @@ class TicketPlan:
         """Distribute ``num_tickets`` tickets level by level."""
         if num_tickets < 1:
             raise SybilDefenseError("num_tickets must be at least 1")
-        n = self._graph.num_nodes
-        tickets = np.zeros(n, dtype=float)
-        tickets[self._source] = float(num_tickets)
-        edge_share = np.zeros(self._fsrc.size, dtype=float)
-        has_forward = self._forward_count > 0
-        for level in range(self._max_level):
-            at_level = self._src_level == level
-            if not at_level.any():
+        block = self._propagate(np.array([float(num_tickets)]))
+        return self._distribution(num_tickets, block[0])
+
+    def _propagate(self, budgets: np.ndarray) -> np.ndarray:
+        """Node tickets for a block of budgets, one row per budget.
+
+        Columns are level-order positions.  Each level's sources hold
+        their final tickets before the level runs (they only receive from
+        the level above), and its destinations hold none yet, so their
+        totals are one ``bincount`` over the level's edge slice.
+        """
+        k = budgets.size
+        telemetry.current().count("sybil.tickets.budgets", k)
+        tickets = np.zeros((k, self._nodes.size))
+        tickets[:, 0] = budgets  # the distributor is the only level-0 node
+        rows = np.arange(k)[:, None]
+        offsets = self._node_offsets
+        for level in range(self._edge_offsets.size - 1):
+            lo, hi = self._edge_offsets[level], self._edge_offsets[level + 1]
+            if lo == hi:
                 continue
-            available = np.maximum(tickets - 1.0, 0.0)  # one consumed per node
-            share = np.zeros(n, dtype=float)
-            share[has_forward] = (
-                available[has_forward] / self._forward_count[has_forward]
+            here, below, end = offsets[level], offsets[level + 1], offsets[level + 2]
+            # one ticket consumed per node, the rest split over forward links
+            per_link = (
+                np.maximum(tickets[:, here:below] - 1.0, 0.0) / self._fanout[here:below]
             )
-            contribution = share[self._fsrc[at_level]]
-            edge_share[at_level] = contribution
-            np.add.at(tickets, self._fdst[at_level], contribution)
-        positive = edge_share > 0
-        edge_tickets = {
-            (int(u), int(v)): float(s)
-            for u, v, s in zip(
-                self._fsrc[positive], self._fdst[positive], edge_share[positive]
+            share = per_link[:, self._edge_src[lo:hi]]
+            width = end - below
+            bins = (self._edge_dst[lo:hi] + rows * width).ravel()
+            tickets[:, below:end] = np.bincount(
+                bins, weights=share.ravel(), minlength=k * width
+            ).reshape(k, width)
+        return tickets
+
+    def _distribution(self, num_tickets: float, row: np.ndarray) -> TicketDistribution:
+        """Package one budget's level-order ticket row as a distribution.
+
+        The row is scattered into a fresh node-indexed array, so the
+        result holds no view into the propagated block.  Edge shares are
+        recomputed from the final node tickets with the propagation's own
+        arithmetic; a node's tickets never change after its level runs.
+        """
+        telemetry.current().count("sybil.tickets.distributions")
+        tickets = np.zeros(self._graph.num_nodes)
+        tickets[self._nodes] = row
+        per_link = np.zeros(self._graph.num_nodes)
+        per_link[self._nodes] = np.maximum(row - 1.0, 0.0) / self._fanout
+        share = per_link[self._fsrc]
+        positive = share > 0
+        edge_tickets = dict(
+            zip(
+                zip(self._fsrc[positive].tolist(), self._fdst[positive].tolist()),
+                share[positive].tolist(),
             )
-        }
-        reached = np.flatnonzero(tickets >= 1.0).astype(np.int64)
+        )
         return TicketDistribution(
             source=self._source,
             tickets_sent=float(num_tickets),
             node_tickets=tickets,
-            reached=reached,
+            reached=np.flatnonzero(tickets >= 1.0).astype(np.int64),
             edge_tickets=edge_tickets,
         )
 
@@ -191,27 +258,35 @@ def adaptive_ticket_count(
     prebuilt :class:`TicketPlan` for ``source`` (e.g. one of a
     :func:`ticket_plans` block) so repeated doublings and many
     distributors share their BFS scaffolding.
+
+    The ladder ``initial * 2**k`` for ``k < max_doublings`` is propagated
+    ``_LADDER_BLOCK`` budgets per level sweep, and the first budget whose
+    reach meets the target wins — the budget a one-at-a-time doubling
+    loop would stop at, with a byte-identical distribution.  Only the
+    winning budget is packaged as a :class:`TicketDistribution`.
     """
     if target_reached < 1:
         raise SybilDefenseError("target_reached must be positive")
+    if max_doublings < 1:
+        raise SybilDefenseError("max_doublings must be at least 1")
     if plan is None:
         plan = TicketPlan(graph, source)
     elif plan.source != int(source):
         raise SybilDefenseError(
             f"plan was built for source {plan.source}, not {source}"
         )
-    tickets = max(initial, 1.0)
-    best: TicketDistribution | None = None
-    for _ in range(max_doublings):
-        result = plan.run(tickets)
-        best = result
-        if result.reached.size >= target_reached:
-            return result
-        tickets *= 2.0
-    assert best is not None
-    if best.reached.size < target_reached:
-        raise SybilDefenseError(
-            f"distributor {source} reached only {best.reached.size} nodes "
-            f"(target {target_reached}) after {max_doublings} doublings"
+    first = float(max(initial, 1.0))
+    for start in range(0, max_doublings, _LADDER_BLOCK):
+        # t0 * 2**k is exact, so these equal repeated doubling bit for bit
+        budgets = np.ldexp(
+            first, np.arange(start, min(start + _LADDER_BLOCK, max_doublings))
         )
-    return best
+        block = plan._propagate(budgets)
+        reach = np.count_nonzero(block >= 1.0, axis=1)
+        hits = np.flatnonzero(reach >= target_reached)
+        if hits.size:
+            return plan._distribution(budgets[hits[0]], block[hits[0]])
+    raise SybilDefenseError(
+        f"distributor {source} reached only {reach[-1]} nodes "
+        f"(target {target_reached}) after {max_doublings} doublings"
+    )

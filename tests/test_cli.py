@@ -262,6 +262,15 @@ class TestObservability:
         assert doc["counters"]["markov.walk.walks"] >= 1
         assert doc["counters"]["markov.walk.steps"] >= 1
         assert any("markov.walk.endpoints" in path for path in doc["spans"])
+        # GateKeeper runs are whole-call spans; the ticket counters give
+        # budgets propagated per distribution computed
+        assert any(p.endswith("sybil.gatekeeper.run") for p in doc["spans"])
+        counters = doc["counters"]
+        assert counters["sybil.tickets.distributions"] >= 1
+        assert (
+            counters["sybil.tickets.budgets"]
+            >= counters["sybil.tickets.distributions"]
+        )
         assert doc["gauges"]["pipeline.max_wave_occupancy"] >= 1
         # canonical form: re-serialising the parse is byte-identical
         assert (

@@ -405,6 +405,24 @@ class TestHTTPServer:
         with pytest.raises(ServeError, match="HTTP 404"):
             client._get("/nope")
 
+    def test_unexpected_error_is_500_and_server_keeps_serving(
+        self, served, monkeypatch
+    ):
+        service, client = served
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "rank", broken)
+        monkeypatch.setattr(service, "add_edge", broken)
+        with pytest.raises(ServeError, match=r"HTTP 500: .*RuntimeError: boom"):
+            client.rank(3)
+        with pytest.raises(ServeError, match=r"HTTP 500: .*RuntimeError: boom"):
+            client.add_edge(0, 1)
+        monkeypatch.undo()
+        assert client.rank(3) == service.rank(3)
+        assert client.stats()["num_nodes"] == service.stats().num_nodes
+
 
 class TestLoadGenerator:
     def test_in_process_load_report(self, tiny_wiki):

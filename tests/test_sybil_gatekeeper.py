@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert
 from repro.graph import Graph
 from repro.sybil import GateKeeper, GateKeeperConfig, standard_attack
+from repro.sybil.tickets import _LADDER_BLOCK
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,16 @@ class TestAdmission:
         result = gk.run(0)
         assert np.array_equal(result.admitted, result.admitted_at(0.3))
 
+    @pytest.mark.parametrize("factor", [-1.0, 0.0, 1.5])
+    def test_rethreshold_rejects_factor_outside_unit_interval(
+        self, small_attack, factor
+    ):
+        gk = GateKeeper(small_attack.graph, GateKeeperConfig(num_distributors=10))
+        result = gk.run(0)
+        with pytest.raises(SybilDefenseError, match=r"\(0, 1\]"):
+            result.admitted_at(factor)
+        assert result.admitted_at(1.0).size <= result.admitted_at(0.1).size
+
     def test_reach_counts_bounded_by_distributors(self, small_attack):
         gk = GateKeeper(small_attack.graph, GateKeeperConfig(num_distributors=15))
         result = gk.run(0)
@@ -116,3 +130,28 @@ class TestAdmission:
             per_edge_values.append(per_edge)
         # per-edge admission should not explode when g quadruples
         assert per_edge_values[1] < 8 * max(per_edge_values[0], 0.5)
+
+
+class TestTelemetry:
+    def test_run_span_and_ticket_counters(self, small_attack):
+        """One span per run; one distribution per cache miss; budgets are
+        propagated a whole block at a time, so they cover every doubling
+        up to the hit, rounded up to the block."""
+        gk = GateKeeper(small_attack.graph, GateKeeperConfig(num_distributors=20))
+        with telemetry.activate() as tel:
+            first = gk.run(0)
+            misses = np.unique(first.distributors).size
+            assert tel.counter("sybil.tickets.distributions") == misses
+            second = gk.run(1)
+        assert tel.spans["sybil.gatekeeper.run"].count == 2
+        cached = gk._distribution_cache
+        assert tel.counter("sybil.tickets.distributions") == len(cached)
+        assert len(cached) == np.unique(
+            np.concatenate([first.distributors, second.distributors])
+        ).size
+        doublings = [
+            int(math.log2(d.tickets_sent / 2.0)) + 1 for d in cached.values()
+        ]
+        blocks = sum(-(-k // _LADDER_BLOCK) for k in doublings)
+        assert tel.counter("sybil.tickets.budgets") == blocks * _LADDER_BLOCK
+        assert tel.counter("sybil.tickets.budgets") >= sum(doublings)

@@ -1,4 +1,10 @@
-"""Unit tests for ticket distribution."""
+"""Unit tests for ticket distribution.
+
+:class:`TestLegacyIdentity` pins the level-sliced, block-evaluated
+kernel byte for byte against the original per-level full-scan
+distribution and its one-budget-per-doubling ladder, kept below as
+oracles.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +13,104 @@ import pytest
 
 from repro.errors import SybilDefenseError
 from repro.generators import barabasi_albert, complete_graph, path_graph, star_graph
-from repro.graph import Graph
-from repro.sybil import adaptive_ticket_count, distribute_tickets
-from repro.sybil.tickets import TicketPlan
+from repro.graph import Graph, bfs_distances
+from repro.sybil import (
+    GateKeeper,
+    GateKeeperConfig,
+    adaptive_ticket_count,
+    distribute_tickets,
+)
+from repro.sybil.tickets import _LADDER_BLOCK, TicketPlan
+
+
+class _LegacyPlan:
+    """The original distribution: every level re-scans all forward edges."""
+
+    def __init__(self, graph, source):
+        n = graph.num_nodes
+        self._n = n
+        self._source = int(source)
+        self._dist = bfs_distances(graph, source)
+        reachable = self._dist >= 0
+        self._max_level = int(self._dist[reachable].max()) if reachable.any() else 0
+        src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        dst = graph.indices
+        forward = (self._dist[src] >= 0) & (self._dist[dst] == self._dist[src] + 1)
+        self._fsrc = src[forward]
+        self._fdst = dst[forward]
+        self._forward_count = np.bincount(self._fsrc, minlength=n).astype(float)
+        self._src_level = self._dist[self._fsrc]
+
+    def run(self, num_tickets):
+        tickets = np.zeros(self._n, dtype=float)
+        tickets[self._source] = float(num_tickets)
+        edge_share = np.zeros(self._fsrc.size, dtype=float)
+        has_forward = self._forward_count > 0
+        for level in range(self._max_level):
+            at_level = self._src_level == level
+            if not at_level.any():
+                continue
+            available = np.maximum(tickets - 1.0, 0.0)
+            share = np.zeros(self._n, dtype=float)
+            share[has_forward] = (
+                available[has_forward] / self._forward_count[has_forward]
+            )
+            contribution = share[self._fsrc[at_level]]
+            edge_share[at_level] = contribution
+            np.add.at(tickets, self._fdst[at_level], contribution)
+        positive = edge_share > 0
+        edge_tickets = {
+            (int(u), int(v)): float(s)
+            for u, v, s in zip(
+                self._fsrc[positive], self._fdst[positive], edge_share[positive]
+            )
+        }
+        reached = np.flatnonzero(tickets >= 1.0).astype(np.int64)
+        return float(num_tickets), tickets, reached, edge_tickets
+
+
+def _legacy_ladder(graph, source, target, initial=2.0, max_doublings=40):
+    """The original adaptive ladder: one full distribution per doubling."""
+    plan = _LegacyPlan(graph, source)
+    tickets = max(initial, 1.0)
+    best = None
+    for _ in range(max_doublings):
+        best = plan.run(tickets)
+        if best[2].size >= target:
+            return best
+        tickets *= 2.0
+    raise SybilDefenseError(
+        f"distributor {source} reached only {best[2].size} nodes "
+        f"(target {target}) after {max_doublings} doublings"
+    )
+
+
+def _assert_identical(result, legacy):
+    tickets_sent, node_tickets, reached, edge_tickets = legacy
+    assert result.tickets_sent == tickets_sent
+    assert result.node_tickets.dtype == node_tickets.dtype
+    assert result.node_tickets.tobytes() == node_tickets.tobytes()
+    assert result.reached.dtype == reached.dtype
+    assert result.reached.tobytes() == reached.tobytes()
+    assert result.edge_tickets == edge_tickets
+    assert list(result.edge_tickets) == list(edge_tickets)
+
+
+def _caterpillar(spine):
+    """A path with one leaf per spine node: from node 0 each doubling
+    carries tickets about one spine hop deeper, so the reach keeps growing
+    and any ladder index can be targeted."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i) for i in range(spine)]
+    return Graph.from_edges(edges, num_nodes=2 * spine)
+
+
+def _target_hit_at(graph, source, index):
+    """A reach target whose ladder (initial 2) first meets it at ``index``."""
+    plan = _LegacyPlan(graph, source)
+    reach = [plan.run(2.0 * 2**k)[2].size for k in range(index + 1)]
+    assert index == 0 or reach[index - 1] < reach[index]
+    return reach[index]
 
 
 class TestDistribution:
@@ -79,8 +180,20 @@ class TestAdaptive:
 
     def test_unreachable_target_raises(self):
         g = Graph.from_edges([(0, 1)], num_nodes=5)  # mostly disconnected
-        with pytest.raises(SybilDefenseError):
-            adaptive_ticket_count(g, 0, target_reached=4, max_doublings=5)
+        for max_doublings in (1, 5, _LADDER_BLOCK, _LADDER_BLOCK + 1, 40):
+            with pytest.raises(SybilDefenseError) as raised:
+                adaptive_ticket_count(
+                    g, 0, target_reached=4, max_doublings=max_doublings
+                )
+            with pytest.raises(SybilDefenseError) as legacy:
+                _legacy_ladder(g, 0, 4, max_doublings=max_doublings)
+            assert str(raised.value) == str(legacy.value)
+
+    @pytest.mark.parametrize("max_doublings", [0, -1])
+    def test_max_doublings_must_be_positive(self, max_doublings):
+        g = barabasi_albert(50, 2, seed=0)
+        with pytest.raises(SybilDefenseError, match="max_doublings"):
+            adaptive_ticket_count(g, 0, target_reached=10, max_doublings=max_doublings)
 
     def test_invalid_target(self, triangle):
         with pytest.raises(SybilDefenseError):
@@ -89,9 +202,94 @@ class TestAdaptive:
     def test_plan_reuse_matches_fresh_run(self):
         g = barabasi_albert(150, 3, seed=5)
         plan = TicketPlan(g, 0)
-        assert np.allclose(
-            plan.run(64).node_tickets, distribute_tickets(g, 0, 64).node_tickets
+        for budget in (64, 1, 1e6, 64):  # earlier runs leave no state behind
+            assert (
+                plan.run(budget).node_tickets.tobytes()
+                == distribute_tickets(g, 0, budget).node_tickets.tobytes()
+            )
+
+
+_GRAPHS = {
+    "star": lambda: star_graph(5),
+    "path": lambda: path_graph(12),
+    "complete": lambda: complete_graph(6),
+    "ba": lambda: barabasi_albert(200, 3, seed=7),
+    "caterpillar": lambda: _caterpillar(24),
+    "disconnected": lambda: Graph.from_edges(
+        [(0, 1), (1, 2), (2, 0), (2, 3), (5, 6)], num_nodes=8
+    ),
+    "isolated_source": lambda: Graph.from_edges([(1, 2)], num_nodes=4),
+}
+
+
+class TestLegacyIdentity:
+    """Byte identity with the per-level full-scan kernel and its ladder."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 7.5, 64, 1e6])
+    @pytest.mark.parametrize("name", sorted(_GRAPHS))
+    def test_run_matches_oracle(self, name, budget):
+        g = _GRAPHS[name]()
+        for source in (0, g.num_nodes - 1):
+            _assert_identical(
+                TicketPlan(g, source).run(budget), _LegacyPlan(g, source).run(budget)
+            )
+
+    @pytest.mark.parametrize(
+        "index",
+        [0, 1, _LADDER_BLOCK - 2, _LADDER_BLOCK - 1, _LADDER_BLOCK,
+         _LADDER_BLOCK + 1, 2 * _LADDER_BLOCK],
+        ids=lambda k: f"hit{k}",
+    )
+    def test_ladder_hit_index_matches_oracle(self, index):
+        """The target is met first at ladder index ``index``: on the first
+        budget, on each side of a block boundary, and blocks later."""
+        g = _caterpillar(3 * _LADDER_BLOCK + 8)
+        target = _target_hit_at(g, 0, index)
+        legacy = _legacy_ladder(g, 0, target)
+        assert legacy[0] == 2.0 * 2**index
+        _assert_identical(adaptive_ticket_count(g, 0, target), legacy)
+
+    @pytest.mark.parametrize("max_doublings", [1, _LADDER_BLOCK, _LADDER_BLOCK + 3])
+    def test_ladder_cut_short_matches_oracle(self, max_doublings):
+        """A ladder shorter than the needed index fails with the same
+        message; one that just fits succeeds identically."""
+        g = _caterpillar(3 * _LADDER_BLOCK + 8)
+        target = _target_hit_at(g, 0, max_doublings)
+        with pytest.raises(SybilDefenseError) as raised:
+            adaptive_ticket_count(g, 0, target, max_doublings=max_doublings)
+        with pytest.raises(SybilDefenseError) as legacy:
+            _legacy_ladder(g, 0, target, max_doublings=max_doublings)
+        assert str(raised.value) == str(legacy.value)
+        _assert_identical(
+            adaptive_ticket_count(g, 0, target, max_doublings=max_doublings + 1),
+            _legacy_ladder(g, 0, target, max_doublings=max_doublings + 1),
         )
+
+    def test_slow_analog_hits_past_first_block(self, tiny_physics):
+        """On a slow-mixing analog some distributors need more doublings
+        than one block holds; every one matches the oracle."""
+        gk = GateKeeper(tiny_physics, GateKeeperConfig(num_distributors=40))
+        distributors = np.unique(gk.select_distributors(0))
+        target = max(2, int(0.5 * tiny_physics.num_nodes))
+        past_block = 0
+        for source in distributors.tolist():
+            legacy = _legacy_ladder(tiny_physics, source, target)
+            past_block += legacy[0] > 2.0 * 2 ** (_LADDER_BLOCK - 1)
+            _assert_identical(
+                adaptive_ticket_count(tiny_physics, source, target), legacy
+            )
+        assert past_block > 0
+
+    @pytest.mark.parametrize("analog", ["tiny_wiki", "tiny_physics"])
+    def test_gatekeeper_reach_counts_match_oracle(self, analog, request):
+        graph = request.getfixturevalue(analog)
+        gk = GateKeeper(graph, GateKeeperConfig(num_distributors=30, seed=3))
+        result = gk.run(0)
+        target = max(2, int(0.5 * graph.num_nodes))
+        expected = np.zeros(graph.num_nodes, dtype=np.int64)
+        for source in result.distributors.tolist():
+            expected[_legacy_ladder(graph, source, target)[2]] += 1
+        assert result.reach_counts.tobytes() == expected.tobytes()
 
 
 class TestSybilLeakage:
