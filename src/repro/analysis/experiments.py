@@ -185,8 +185,9 @@ def table2_gatekeeper(
                     num_controllers=num_controllers,
                     seed=seed,
                 ),
-                # v2: distributor walks moved onto the vectorized engine
-                version=2,
+                # v3: distributor walks draw counter-based uniforms
+                # (v2: moved onto the vectorized engine)
+                version=3,
             )
         )
     return outcomes

@@ -75,9 +75,19 @@ def default_workers(cap: int = MAX_DEFAULT_WORKERS) -> int:
 
 
 def resolve_chunks(
-    num_sources: int, chunk_size: int | None, workers: int | None
+    num_sources: int,
+    chunk_size: int | None,
+    workers: int | None,
+    max_size: int | None = DEFAULT_CHUNK_SIZE,
 ) -> list[slice]:
     """Split ``num_sources`` columns into contiguous chunk slices.
+
+    An explicit ``chunk_size`` is used as given.  Otherwise the plan is
+    sized from the work: one chunk per worker (one chunk inline), cut
+    to at most ``max_size`` columns.  Engines whose working set grows
+    with the chunk (``n x chunk`` dense blocks) keep the default cap of
+    :data:`DEFAULT_CHUNK_SIZE`; element-wise engines (walks, BP
+    rounds) pass ``max_size=None`` or a memory-derived cap.
 
     ``num_sources == 0`` yields an empty plan (no chunks) regardless of
     ``chunk_size``/``workers`` — it must not trip the positivity check,
@@ -90,11 +100,9 @@ def resolve_chunks(
     if num_sources == 0:
         return []
     if chunk_size is None:
-        size = DEFAULT_CHUNK_SIZE
-        if workers is not None and workers > 1:
-            # Spread the sources across the pool when the default chunk
-            # would leave workers idle.
-            size = min(size, -(-num_sources // workers))
+        size = -(-num_sources // max(workers or 1, 1))
+        if max_size is not None:
+            size = min(size, max_size)
     else:
         size = int(chunk_size)
     if size < 1:

@@ -145,10 +145,10 @@ class Whanau:
         self._num_successors = cfg.num_successors or scale
         self._walk_length = cfg.walk_length or max(2, int(np.ceil(2 * np.log2(n))))
         self._rng = np.random.default_rng(cfg.seed)
-        # every walk-sampling stage draws its engine seed from this
-        # root (spawn counter advances deterministically), keeping
-        # table construction reproducible while each stage's walks run
-        # as one vectorized block
+        # every walk-sampling stage passes this root to the engine,
+        # which spawns one key from it per call (the spawn counter
+        # advances deterministically), keeping table construction
+        # reproducible while each stage's walks run as one block
         self._walk_seed_root = np.random.SeedSequence(cfg.seed)
         self._tables: list[WhanauTables] = [WhanauTables() for _ in range(n)]
         self._setup()
@@ -175,7 +175,7 @@ class Whanau:
             self._graph,
             sources,
             self._walk_length,
-            seed=self._walk_seed_root.spawn(1)[0],
+            seed=self._walk_seed_root,
         )
 
     def _sample_uniform_block(

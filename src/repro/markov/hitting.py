@@ -173,9 +173,9 @@ def estimate_cover_time(
     ``50 n log n`` — well past the O(n log n) cover time of expanders);
     returns the mean steps-to-cover over completed walks.  Raises when
     no walk covers within the budget (slow mixer or budget too small).
-    Start nodes come from one child stream of ``seed`` and every walk
-    advances on its own stream through the vectorized engine, so the
-    estimate is independent of ``chunk_size``/``workers``.
+    Start nodes come from one child stream of ``seed`` and the walks
+    run on the vectorized engine's counter uniforms under the other,
+    so the estimate is independent of ``chunk_size``/``workers``.
     """
     if graph.num_nodes < 2:
         raise GraphError("cover time needs at least 2 nodes")

@@ -5,9 +5,10 @@ engine (:mod:`repro.graph.bfs_batch`) cover algebraic evolution and
 shortest-path levels; every *sampled* walk in the repo — escape
 probability, SybilDefender/SybilInfer statistics, GateKeeper
 distributor selection, Whānau table sampling, Monte-Carlo
-hitting/cover estimators, empirical distributions — still needs actual
-random trajectories.  This module advances a ``(num_walks,)`` state
-vector one step per iteration with a single CSR gather::
+hitting/cover estimators, empirical distributions, link-privacy
+perturbation — still needs actual random trajectories.  This module
+advances a ``(num_walks,)`` state vector one step per iteration with a
+single CSR gather::
 
     next = indices[indptr[state] + floor(u * degree[state])]
 
@@ -24,22 +25,35 @@ instead of ``num_walks x length`` Python iterations, in four modes:
 plus :func:`walk_cover_steps`, the cover-time tracker built on the
 same stepping kernel.
 
-**Seed discipline.**  Every walk owns an independent child stream of
-one root :class:`numpy.random.SeedSequence` (``spawn`` per walk), and
-each walk's step ``t`` consumes exactly the ``t``-th uniform double of
-its own stream.  Results are therefore **bit-identical** for every
-``chunk_size``/``workers`` combination and identical to the per-walk
-``strategy="sequential"`` oracle — the property the equivalence suite
-pins.  Chunking goes through the shared planner
-(:mod:`repro.chunking`); every chunk reports per-block spans and the
-``markov.walk.walks`` / ``markov.walk.steps`` /
-``markov.walk.absorbed`` counters into :mod:`repro.telemetry`.
+**Seed discipline.**  Randomness is counter-based: walk ``i`` (its
+position in ``sources``) takes step ``t`` with the uniform::
 
-``executor="process"`` ships each chunk's seed streams (generator
-state pickles exactly) to the shared-memory process backend of
-:mod:`repro.parallel`; the chunk kernels are the same module-level
-functions the thread closures call, so the bit-identity contract
-extends across the whole executor grid.
+    u[i, t] = top53(mix64(mix64(key ^ i * GAMMA) + (t + 1) * GAMMA)) / 2**53
+
+where ``mix64`` is the splitmix64 finalizer, ``GAMMA`` the golden-ratio
+increment ``0x9E3779B97F4A7C15`` and ``key`` one 64-bit word derived
+from ``seed`` by :func:`seed_key`.  A uniform depends only on
+``(key, i, t)``, so results are **bit-identical** for every
+``chunk_size``/``workers``/``executor`` combination and identical to
+the per-walk ``strategy="sequential"`` oracle by construction: a chunk
+needs only the key and its first walk index.  An int seed and a fresh
+:class:`~numpy.random.SeedSequence` of that int give the same walks; a
+``SeedSequence`` or :class:`~numpy.random.Generator` is advanced by
+each call, so repeated calls draw fresh walks.
+
+**Chunk plan.**  Walks are independent and the per-walk working set is
+a few words, so by default every resolved worker gets one contiguous
+chunk (one chunk inline).  Cover tracking holds a ``(chunk, n)``
+visited block and caps its chunk at :data:`COVER_CHUNK_BYTES`.
+``chunk_size`` overrides the plan.  Chunking goes through the shared
+planner (:mod:`repro.chunking`); every chunk reports a
+``markov.walk.chunk`` span and the ``markov.walk.walks`` /
+``markov.walk.steps`` / ``markov.walk.absorbed`` counters into
+:mod:`repro.telemetry`.
+
+``executor="process"`` ships each chunk's sources plus the key to the
+shared-memory process backend of :mod:`repro.parallel`; the chunk
+kernels are the same module-level functions the thread path calls.
 """
 
 from __future__ import annotations
@@ -50,76 +64,150 @@ from typing import Sequence
 import numpy as np
 
 from repro import parallel, telemetry
-from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
+from repro.chunking import resolve_chunks, run_chunks
 from repro.errors import GraphError
 from repro.graph.core import Graph
 from repro.graph.shard import ShardedGraph
 
 __all__ = [
     "NO_HIT",
+    "COVER_CHUNK_BYTES",
+    "seed_key",
+    "WalkUniforms",
     "walk_block",
     "walk_endpoints",
     "walk_first_hits",
     "walk_visit_counts",
     "walk_cover_steps",
-    "DEFAULT_CHUNK_SIZE",
 ]
 
 #: Sentinel returned by :func:`walk_first_hits` / :func:`walk_cover_steps`
 #: for walks that never reach the mask / never cover within the budget.
 NO_HIT = -1
 
-#: Uniform draws are generated in step-blocks of this many doubles per
-#: walk, bounding the random-number working set at
-#: ``O(chunk_size * _STEP_BLOCK)`` for open-ended budgets.  Block size
-#: cannot affect results: doubles come off each walk's own stream in
-#: step order regardless of how they are grouped into draws.
-_STEP_BLOCK = 1024
+#: Cap on the ``(chunk, n)`` boolean visited block of cover tracking
+#: when the chunk plan is derived (``chunk_size=None``).
+COVER_CHUNK_BYTES = 1 << 24
 
 _SeedLike = "int | np.random.SeedSequence | np.random.Generator"
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
-def _validate_sources(
-    graph: "Graph | ShardedGraph", sources: np.ndarray | Sequence[int]
+
+def _mix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of a ``uint64`` array, as a new array.
+
+    Wrapping arithmetic on array operands (numpy warns on wrap-around
+    only for scalar ones); in-place steps keep per-call overhead low
+    for the small chunks of a ``chunk_size`` override.
+    """
+    z = x >> _S30
+    z ^= x
+    z *= _MIX1
+    t = z >> _S27
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
+def seed_key(seed: _SeedLike) -> np.uint64:
+    """Derive the 64-bit counter key of one engine call from ``seed``.
+
+    An int ``s`` means ``SeedSequence(s)``.  A ``SeedSequence`` is
+    spawned once (advancing it) and the child's first state word is the
+    key; a ``Generator`` has one ``uint64`` drawn from it (advancing it).
+    """
+    if isinstance(seed, np.random.Generator):
+        return np.uint64(seed.integers(2**64, dtype=np.uint64))
+    root = (
+        seed
+        if isinstance(seed, np.random.SeedSequence)
+        else np.random.SeedSequence(int(seed))
+    )
+    return np.uint64(root.spawn(1)[0].generate_state(1, dtype=np.uint64)[0])
+
+
+class WalkUniforms:
+    """Counter-based uniforms ``u[i, t]`` of a set of walks, step by step.
+
+    ``walk_ids`` are the walks' global indices; each :meth:`next` call
+    returns the next step's uniforms in ``[0, 1)`` for every walk, so
+    memory stays O(len(walk_ids)).  Which walks share an instance
+    cannot change any value.
+    """
+
+    __slots__ = ("_counter",)
+
+    def __init__(self, key: np.uint64, walk_ids: np.ndarray) -> None:
+        ids = np.asarray(walk_ids, dtype=np.uint64)
+        self._counter = _mix64(ids * _GAMMA ^ np.uint64(key))
+
+    def next(self) -> np.ndarray:
+        """The next step's uniforms, one per walk."""
+        self._counter += _GAMMA
+        return _unit(_mix64(self._counter))
+
+    def block(self, count: int) -> np.ndarray:
+        """The next ``count`` steps' uniforms as a ``(walks, count)`` block.
+
+        Wrapping addition makes ``counter + (t + 1) * GAMMA`` equal to
+        ``t + 1`` single increments, so a block holds exactly the values
+        ``count`` calls of :meth:`next` would return.
+        """
+        offsets = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+        values = _unit(_mix64(self._counter[:, None] + offsets[None, :]))
+        if count:
+            self._counter += offsets[-1]
+        return values
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each word as a double in ``[0, 1)`` (consumes ``bits``)."""
+    bits >>= _S11
+    u = bits.astype(np.float64)
+    u *= 1.0 / (1 << 53)
+    return u
+
+
+def _scalar_uniforms(key: np.uint64, walk: int, length: int):
+    """Walk ``walk``'s uniforms for steps ``0 .. length - 1`` as floats.
+
+    The sequential oracle's stream: the same counter function with a
+    scalar walk index, generated 1024 steps at a time so a walk that
+    stops early never pays for its whole budget.
+    """
+    uniforms = WalkUniforms(key, np.array([walk]))
+    for start in range(0, length, 1024):
+        yield from uniforms.block(min(1024, length - start))[0].tolist()
+
+
+def _validate(
+    graph: "Graph | ShardedGraph",
+    sources: np.ndarray | Sequence[int],
+    length: int,
+    strategy: str,
+    name: str = "length",
+    minimum: int = 0,
 ) -> np.ndarray:
     chosen = np.asarray(list(sources), dtype=np.int64)
     if chosen.size and (chosen.min() < 0 or chosen.max() >= graph.num_nodes):
         raise GraphError(
             f"sources must be node ids in [0, {graph.num_nodes})"
         )
-    return chosen
-
-
-def _validate_strategy(strategy: str) -> None:
     if strategy not in ("batched", "sequential"):
         raise GraphError(
             f"unknown strategy {strategy!r}; use 'batched' or 'sequential'"
         )
-
-
-def _streams(seed, num_walks: int) -> list[np.random.Generator]:
-    """Spawn one independent child generator per walk.
-
-    ``seed`` may be an int (reproducible root), a
-    :class:`~numpy.random.SeedSequence` or a
-    :class:`~numpy.random.Generator`; the latter two are *advanced* by
-    the spawn, so successive calls draw fresh independent streams.
-    """
-    if isinstance(seed, np.random.Generator):
-        return seed.spawn(num_walks)
-    root = (
-        seed
-        if isinstance(seed, np.random.SeedSequence)
-        else np.random.SeedSequence(int(seed))
-    )
-    return [np.random.default_rng(child) for child in root.spawn(num_walks)]
-
-
-def _uniform_block(
-    streams: Sequence[np.random.Generator], count: int
-) -> np.ndarray:
-    """Return the next ``count`` uniforms of every stream as ``(k, count)``."""
-    return np.stack([g.random(count) for g in streams], axis=0)
+    if length < minimum:
+        raise GraphError(
+            f"{name} must be {'non-negative' if minimum == 0 else 'positive'}"
+        )
+    return chosen
 
 
 def _advance(
@@ -173,12 +261,13 @@ def _step_sequential(
 class _DenseStepper:
     """Stepping kernel over a resident graph's CSR arrays."""
 
-    __slots__ = ("indptr", "indices", "degrees")
+    __slots__ = ("indptr", "indices", "degrees", "num_nodes")
 
     def __init__(self, graph: Graph) -> None:
         self.indptr = graph.indptr
         self.indices = graph.indices
         self.degrees = graph.degrees
+        self.num_nodes = graph.num_nodes
 
     def advance(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _advance(states, u, self.indptr, self.indices, self.degrees)
@@ -195,13 +284,14 @@ class _ShardedStepper:
     with the exact per-element arithmetic of :func:`_advance`
     (``floor(u * deg)`` clipped to ``deg - 1``; isolated nodes stay
     put), so trajectories are bit-identical to the resident kernel for
-    the same seed streams.
+    the same uniforms.
     """
 
-    __slots__ = ("_sharded",)
+    __slots__ = ("_sharded", "num_nodes")
 
     def __init__(self, sharded: ShardedGraph) -> None:
         self._sharded = sharded
+        self.num_nodes = sharded.num_nodes
 
     def advance(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         out = states.copy()
@@ -242,174 +332,293 @@ def _stepper(graph: "Graph | ShardedGraph") -> "_DenseStepper | _ShardedStepper"
 
 # ----------------------------------------------------------------------
 # per-chunk kernels (shared verbatim by the thread and process backends)
+#
+# kernel(stepper, states, uniforms, length, mask, record) returns
+# ``(values, steps taken)``: one row per walk, or per-node visit counts.
 # ----------------------------------------------------------------------
-def _block_chunk(stepper, states, streams, length, out_block) -> None:
-    """Advance one chunk, recording every position into ``out_block``."""
-    out_block[:, 0] = states
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            out_block[:, step + t + 1] = states
-        step += count
+def _block_chunk(stepper, states, uniforms, length, mask, record):
+    out = np.empty((states.size, length + 1), dtype=np.int64)
+    out[:, 0] = states
+    for t in range(length):
+        states = stepper.advance(states, uniforms.next())
+        out[:, t + 1] = states
+    return out, states.size * length
 
 
-def _endpoints_chunk(stepper, states, streams, length) -> np.ndarray:
-    """Advance one chunk ``length`` steps; return the final states."""
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-        step += count
-    return states
+def _endpoints_chunk(stepper, states, uniforms, length, mask, record):
+    for _ in range(length):
+        states = stepper.advance(states, uniforms.next())
+    return states, states.size * length
 
 
-def _first_hits_chunk(
-    stepper, states, streams, length, hit_mask
-) -> tuple[np.ndarray, int]:
-    """First-hit steps for one chunk; returns ``(hits, steps taken)``."""
+def _first_hits_chunk(stepper, states, uniforms, length, mask, record):
+    """A chunk whose walks have all been absorbed stops stepping."""
     hits = np.full(states.size, NO_HIT, dtype=np.int64)
-    hits[hit_mask[states]] = 0
+    hits[mask[states]] = 0
     alive = hits == NO_HIT
-    step = 0
-    steps_taken = 0
-    while step < length and alive.any():
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            steps_taken += states.size
-            newly = alive & hit_mask[states]
-            if newly.any():
-                hits[newly] = step + t + 1
-                alive &= ~newly
-                if not alive.any():
-                    break
-        step += count
-    return hits, steps_taken
+    steps = 0
+    for t in range(length):
+        if not alive.any():
+            break
+        states = stepper.advance(states, uniforms.next())
+        steps += states.size
+        newly = alive & mask[states]
+        hits[newly] = t + 1
+        alive &= ~newly
+    return hits, steps
 
 
-def _visit_chunk(stepper, states, streams, length, record, n) -> np.ndarray:
-    """Per-node visit counts contributed by one chunk."""
+def _visit_chunk(stepper, states, uniforms, length, mask, record):
+    n = stepper.num_nodes
     local = np.zeros(n, dtype=np.int64)
     if record == "all":
         local += np.bincount(states, minlength=n)
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            if record == "all":
-                local += np.bincount(states, minlength=n)
-        step += count
+    for _ in range(length):
+        states = stepper.advance(states, uniforms.next())
+        if record == "all":
+            local += np.bincount(states, minlength=n)
     if record == "last":
         local += np.bincount(states, minlength=n)
-    return local
+    return local, states.size * length
 
 
-def _cover_chunk(
-    stepper, states, streams, max_steps, n
-) -> tuple[np.ndarray, int]:
-    """Cover steps for one chunk; returns ``(covered, steps taken)``."""
+def _cover_chunk(stepper, states, uniforms, length, mask, record):
+    """Cover steps of one chunk; stops once every walk has covered."""
+    n = stepper.num_nodes
     k = states.size
     rows = np.arange(k)
     visited = np.zeros((k, n), dtype=bool)
     visited[rows, states] = True
     remaining = np.full(k, n - 1, dtype=np.int64)
-    covered = np.full(k, NO_HIT, dtype=np.int64)
-    if n == 1:
-        covered[:] = 0
+    covered = np.full(k, 0 if n == 1 else NO_HIT, dtype=np.int64)
     alive = covered == NO_HIT
-    step = 0
-    steps_taken = 0
-    while step < max_steps and alive.any():
-        count = min(_STEP_BLOCK, max_steps - step)
-        u = _uniform_block(streams, count)
-        for t in range(count):
-            states = stepper.advance(states, u[:, t])
-            steps_taken += k
-            newly = alive & ~visited[rows, states]
-            visited[rows[newly], states[newly]] = True
-            remaining[newly] -= 1
-            done = newly & (remaining == 0)
-            if done.any():
-                covered[done] = step + t + 1
-                alive &= ~done
-                if not alive.any():
-                    break
-        step += count
-    return covered, steps_taken
+    steps = 0
+    for t in range(length):
+        if not alive.any():
+            break
+        states = stepper.advance(states, uniforms.next())
+        steps += k
+        newly = alive & ~visited[rows, states]
+        visited[rows[newly], states[newly]] = True
+        remaining[newly] -= 1
+        done = newly & (remaining == 0)
+        covered[done] = t + 1
+        alive &= ~done
+    return covered, steps
+
+
+_KERNELS = {
+    "block": _block_chunk,
+    "endpoints": _endpoints_chunk,
+    "first_hits": _first_hits_chunk,
+    "visit": _visit_chunk,
+    "cover": _cover_chunk,
+}
+
+#: modes whose rows can stop early, reporting ``markov.walk.absorbed``
+_ABSORBING = ("first_hits", "cover")
+
+
+def _run_kernel(mode, stepper, states, key, columns, length, mask, record):
+    """Run one chunk and report its steps (and absorptions) to telemetry."""
+    tel = telemetry.current()
+    uniforms = WalkUniforms(key, np.arange(columns.start, columns.stop))
+    with tel.span("markov.walk.chunk"):
+        values, steps = _KERNELS[mode](
+            stepper, states, uniforms, length, mask, record
+        )
+    tel.count("markov.walk.steps", steps)
+    if mode in _ABSORBING:
+        tel.count("markov.walk.absorbed", int(np.count_nonzero(values != NO_HIT)))
+    return values
 
 
 def _walk_process_chunk(payload: dict, columns: slice) -> np.ndarray | None:
-    """Process-backend chunk task dispatching on walk mode.
+    """Process-backend chunk task: the thread path's kernel in a worker.
 
-    ``states``/``streams`` arrive per chunk (seed streams pickle their
-    exact generator state); outputs land in the shared buffer except
-    for ``visit`` partial counts, which are returned for the parent to
-    sum (integer addition commutes, so merge order cannot matter).
+    Per-walk outputs land in the shared buffer; ``visit`` partial
+    counts are returned for the parent to sum (integer addition
+    commutes, so merge order cannot matter).
     """
     graph = parallel.resolve(payload["graph"])
+    mask = payload["mask"]
+    values = _run_kernel(
+        payload["mode"],
+        _stepper(graph),
+        payload["states"],
+        payload["key"],
+        columns,
+        payload["length"],
+        None if mask is None else parallel.resolve(mask),
+        payload["record"],
+    )
+    if payload["out"] is None:
+        return values
+    parallel.resolve(payload["out"])[columns] = values
+    return None
+
+
+def _run_walks(
+    mode: str,
+    graph: "Graph | ShardedGraph",
+    chosen: np.ndarray,
+    seed: _SeedLike,
+    out: np.ndarray,
+    length: int,
+    chunk_size: int | None,
+    workers: int | None,
+    strategy: str,
+    executor: str | None,
+    mask: np.ndarray | None = None,
+    record: str | None = None,
+) -> np.ndarray:
+    """The one dispatch seam of every mode: oracle, processes or threads.
+
+    ``out`` is ``(num_walks, ...)`` for per-walk modes, ``(n,)`` zeros
+    for ``visit``; it is filled and returned.
+    """
+    if chosen.size == 0:
+        return out
+    kind, workers = parallel.resolve_execution(executor, workers)
+    key = seed_key(seed)
     stepper = _stepper(graph)
-    states = payload["states"]
-    streams = payload["streams"]
-    mode = payload["mode"]
     tel = telemetry.current()
-    result = None
-    with tel.span("markov.walk.chunk"):
-        if mode == "block":
-            out = parallel.resolve(payload["out"])
-            _block_chunk(stepper, states, streams, payload["length"], out[columns])
-            steps = states.size * payload["length"]
-        elif mode == "endpoints":
-            out = parallel.resolve(payload["out"])
-            out[columns] = _endpoints_chunk(
-                stepper, states, streams, payload["length"]
+    tel.count("markov.walk.walks", int(chosen.size))
+    if strategy == "sequential":
+        return _run_sequential(mode, stepper, chosen, key, out, length, mask, record)
+    max_size = None
+    if mode == "cover":
+        max_size = max(1, COVER_CHUNK_BYTES // graph.num_nodes)
+    chunks = resolve_chunks(chosen.size, chunk_size, workers, max_size=max_size)
+    visit = mode == "visit"
+    if parallel.use_processes(kind, workers, len(chunks)):
+        specs: list = []
+        try:
+            payload = {
+                "graph": parallel.publish(graph),
+                "mode": mode,
+                "key": key,
+                "length": length,
+                "record": record,
+                "mask": None,
+                "out": None,
+            }
+            if mask is not None:
+                payload["mask"] = parallel.share_array(mask)
+                specs.append(payload["mask"])
+            if not visit:
+                payload["out"], out_view = parallel.create_output(
+                    out.shape, np.int64
+                )
+                specs.append(payload["out"])
+            partials = parallel.run_process_chunks(
+                _walk_process_chunk,
+                payload,
+                chunks,
+                workers,
+                chunk_payload=lambda columns: {"states": chosen[columns].copy()},
             )
-            steps = states.size * payload["length"]
-        elif mode == "first_hits":
-            out = parallel.resolve(payload["out"])
-            hit_mask = parallel.resolve(payload["mask"])
-            hits, steps = _first_hits_chunk(
-                stepper, states, streams, payload["length"], hit_mask
-            )
-            out[columns] = hits
-            tel.count("markov.walk.absorbed", int(np.count_nonzero(hits != NO_HIT)))
-        elif mode == "visit":
-            result = _visit_chunk(
-                stepper, states, streams, payload["length"], payload["record"],
-                graph.num_nodes,
-            )
-            steps = states.size * payload["length"]
-        else:  # cover
-            out = parallel.resolve(payload["out"])
-            covered, steps = _cover_chunk(
-                stepper, states, streams, payload["max_steps"], graph.num_nodes
-            )
-            out[columns] = covered
-            tel.count(
-                "markov.walk.absorbed", int(np.count_nonzero(covered != NO_HIT))
-            )
-    tel.count("markov.walk.steps", steps)
-    return result
+            if visit:
+                for local in partials:
+                    np.add(out, local, out=out)
+            else:
+                out[...] = out_view
+            return out
+        finally:
+            parallel.release(specs)
 
+    merge_lock = threading.Lock()
 
-def _walk_chunk_payload(chosen: np.ndarray, streams: list):
-    """Per-chunk payload builder: that chunk's states and seed streams."""
+    def run_chunk(columns: slice) -> None:
+        values = _run_kernel(
+            mode, stepper, chosen[columns].copy(), key, columns, length, mask,
+            record,
+        )
+        if visit:
+            with merge_lock:
+                np.add(out, values, out=out)
+        else:
+            out[columns] = values
 
-    def build(columns: slice) -> dict:
-        return {"states": chosen[columns].copy(), "streams": streams[columns]}
-
-    return build
+    run_chunks(run_chunk, chunks, workers)
+    return out
 
 
 # ----------------------------------------------------------------------
-# mode (a): full trajectories
+# the per-walk sequential oracle (same uniforms, scalar stepping)
+# ----------------------------------------------------------------------
+def _run_sequential(mode, stepper, chosen, key, out, length, mask, record):
+    steps = 0
+    for i, source in enumerate(chosen.tolist()):
+        uniforms = _scalar_uniforms(key, i, length)
+        if mode == "first_hits":
+            out[i], taken = _sequential_first_hit(source, uniforms, mask, stepper)
+        elif mode == "cover":
+            out[i], taken = _sequential_cover(source, uniforms, stepper)
+        else:
+            path = _sequential_trajectory(source, uniforms, length, stepper)
+            taken = length
+            if mode == "block":
+                out[i] = path
+            elif mode == "endpoints":
+                out[i] = path[-1]
+            elif record == "last":
+                out[path[-1]] += 1
+            else:
+                out += np.bincount(path, minlength=out.size)
+        steps += taken
+    tel = telemetry.current()
+    tel.count("markov.walk.steps", steps)
+    if mode in _ABSORBING:
+        tel.count("markov.walk.absorbed", int(np.count_nonzero(out != NO_HIT)))
+    return out
+
+
+def _sequential_trajectory(source, uniforms, length, stepper) -> np.ndarray:
+    path = np.empty(length + 1, dtype=np.int64)
+    path[0] = source
+    state = source
+    for t, u in enumerate(uniforms):
+        state = stepper.step(state, u)
+        path[t + 1] = state
+    return path
+
+
+def _sequential_first_hit(source, uniforms, mask, stepper):
+    """Per-walk oracle; returns ``(first_hit, steps consumed)``."""
+    if mask[source]:
+        return 0, 0
+    state = source
+    t = 0
+    for t, u in enumerate(uniforms, start=1):
+        state = stepper.step(state, u)
+        if mask[state]:
+            return t, t
+    return NO_HIT, t
+
+
+def _sequential_cover(source, uniforms, stepper):
+    """Per-walk oracle; returns ``(cover step, steps consumed)``."""
+    n = stepper.num_nodes
+    if n == 1:
+        return 0, 0
+    visited = np.zeros(n, dtype=bool)
+    visited[source] = True
+    remaining = n - 1
+    state = source
+    t = 0
+    for t, u in enumerate(uniforms, start=1):
+        state = stepper.step(state, u)
+        if not visited[state]:
+            visited[state] = True
+            remaining -= 1
+            if remaining == 0:
+                return t, t
+    return NO_HIT, t
+
+
+# ----------------------------------------------------------------------
+# public modes
 # ----------------------------------------------------------------------
 def walk_block(
     graph: Graph | ShardedGraph,
@@ -425,81 +634,19 @@ def walk_block(
 
     Row ``i`` is a ``length``-step uniform random walk from
     ``sources[i]`` (column 0 is the source itself), driven by walk
-    ``i``'s own seed stream — so the block is bit-identical for every
+    ``i``'s counter uniforms — so the block is bit-identical for every
     ``chunk_size``/``workers`` setting and to the per-walk
     ``strategy="sequential"`` oracle.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _validate(graph, sources, length, strategy)
     out = np.empty((chosen.size, length + 1), dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    tel = telemetry.current()
-    with tel.span("markov.walk.block"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                out[i] = _sequential_trajectory(
-                    int(chosen[i]), streams[i], length, stepper
-                )
-            tel.count("markov.walk.steps", int(chosen.size) * length)
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "block",
-                        "length": length,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                _block_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length,
-                    out[columns],
-                )
-            tel.count("markov.walk.steps", (columns.stop - columns.start) * length)
-
-        run_chunks(run_chunk, chunks, workers)
-    return out
+    with telemetry.current().span("markov.walk.block"):
+        return _run_walks(
+            "block", graph, chosen, seed, out, length,
+            chunk_size, workers, strategy, executor,
+        )
 
 
-def _sequential_trajectory(
-    source: int,
-    stream: np.random.Generator,
-    length: int,
-    stepper: "_DenseStepper | _ShardedStepper",
-) -> np.ndarray:
-    path = np.empty(length + 1, dtype=np.int64)
-    path[0] = source
-    state = source
-    u = stream.random(length)
-    for t in range(length):
-        state = stepper.step(state, u[t])
-        path[t + 1] = state
-    return path
-
-
-# ----------------------------------------------------------------------
-# mode (b): endpoints only
-# ----------------------------------------------------------------------
 def walk_endpoints(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -514,62 +661,17 @@ def walk_endpoints(
 
     O(num_walks) memory: only the state vector advances — the mode the
     sampling defenses (SybilDefender calibration, SybilInfer traces,
-    GateKeeper distributors, Whānau tables) need.
+    GateKeeper distributors, Whānau tables) and link perturbation need.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _validate(graph, sources, length, strategy)
     out = np.empty(chosen.size, dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    tel = telemetry.current()
-    with tel.span("markov.walk.endpoints"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                out[i] = _sequential_trajectory(
-                    int(chosen[i]), streams[i], length, stepper
-                )[-1]
-            tel.count("markov.walk.steps", int(chosen.size) * length)
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "endpoints",
-                        "length": length,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                out[columns] = _endpoints_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length
-                )
-            tel.count("markov.walk.steps", (columns.stop - columns.start) * length)
-
-        run_chunks(run_chunk, chunks, workers)
-    return out
+    with telemetry.current().span("markov.walk.endpoints"):
+        return _run_walks(
+            "endpoints", graph, chosen, seed, out, length,
+            chunk_size, workers, strategy, executor,
+        )
 
 
-# ----------------------------------------------------------------------
-# mode (c): first hit against a node mask
-# ----------------------------------------------------------------------
 def walk_first_hits(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -589,104 +691,23 @@ def walk_first_hits(
     marks the absorbing region and ``first_hit <= w`` recovers the
     absorbed-by-``w`` indicator for any sub-budget ``w``.  A chunk
     whose walks have all been absorbed stops stepping early — absorbed
-    walks' hit steps are final, and each walk only ever consumes its
-    own stream.
+    walks' hit steps are final, and a walk's uniforms depend only on
+    its index and step.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _validate(graph, sources, length, strategy)
     hit_mask = np.asarray(mask, dtype=bool)
     if hit_mask.shape != (graph.num_nodes,):
         raise GraphError(
             f"mask must have shape ({graph.num_nodes},), got {hit_mask.shape}"
         )
     out = np.empty(chosen.size, dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    tel = telemetry.current()
-    with tel.span("markov.walk.first_hits"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            steps_taken = 0
-            for i in range(chosen.size):
-                hit, consumed = _sequential_first_hit(
-                    int(chosen[i]), streams[i], length, hit_mask, stepper
-                )
-                out[i] = hit
-                steps_taken += consumed
-            tel.count("markov.walk.steps", steps_taken)
-            tel.count("markov.walk.absorbed", int(np.count_nonzero(out != NO_HIT)))
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            mask_spec = parallel.share_array(hit_mask)
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "first_hits",
-                        "length": length,
-                        "mask": mask_spec,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([mask_spec, out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                hits, steps_taken = _first_hits_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length,
-                    hit_mask,
-                )
-                out[columns] = hits
-            tel.count("markov.walk.steps", steps_taken)
-            tel.count(
-                "markov.walk.absorbed", int(np.count_nonzero(hits != NO_HIT))
-            )
-
-        run_chunks(run_chunk, chunks, workers)
-    return out
+    with telemetry.current().span("markov.walk.first_hits"):
+        return _run_walks(
+            "first_hits", graph, chosen, seed, out, length,
+            chunk_size, workers, strategy, executor, mask=hit_mask,
+        )
 
 
-def _sequential_first_hit(
-    source: int,
-    stream: np.random.Generator,
-    length: int,
-    mask: np.ndarray,
-    stepper: "_DenseStepper | _ShardedStepper",
-) -> tuple[int, int]:
-    """Per-walk oracle; returns ``(first_hit, steps consumed)``."""
-    if mask[source]:
-        return 0, 0
-    state = source
-    consumed = 0
-    step = 0
-    while step < length:
-        count = min(_STEP_BLOCK, length - step)
-        u = stream.random(count)
-        for t in range(count):
-            state = stepper.step(state, u[t])
-            consumed += 1
-            if mask[state]:
-                return step + t + 1, consumed
-        step += count
-    return NO_HIT, consumed
-
-
-# ----------------------------------------------------------------------
-# mode (d): visit-count accumulation
-# ----------------------------------------------------------------------
 def walk_visit_counts(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -708,70 +729,17 @@ def walk_visit_counts(
     chunk partial counts merge under a lock (integer addition commutes,
     so scheduling cannot change the totals).
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if length < 0:
-        raise GraphError("length must be non-negative")
+    chosen = _validate(graph, sources, length, strategy)
     if record not in ("all", "last"):
         raise GraphError(f"unknown record mode {record!r}; use 'all' or 'last'")
     counts = np.zeros(graph.num_nodes, dtype=np.int64)
-    if chosen.size == 0:
-        return counts
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    n = graph.num_nodes
-    tel = telemetry.current()
-    with tel.span("markov.walk.visit_counts"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                path = _sequential_trajectory(
-                    int(chosen[i]), streams[i], length, stepper
-                )
-                if record == "last":
-                    counts[path[-1]] += 1
-                else:
-                    counts += np.bincount(path, minlength=n)
-            tel.count("markov.walk.steps", int(chosen.size) * length)
-            return counts
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            partials = parallel.run_process_chunks(
-                _walk_process_chunk,
-                {
-                    "graph": parallel.publish(graph),
-                    "mode": "visit",
-                    "length": length,
-                    "record": record,
-                },
-                chunks,
-                workers,
-                chunk_payload=_walk_chunk_payload(chosen, streams),
-            )
-            for local in partials:
-                np.add(counts, local, out=counts)
-            return counts
-
-        merge_lock = threading.Lock()
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                local = _visit_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], length,
-                    record, n,
-                )
-                with merge_lock:
-                    np.add(counts, local, out=counts)
-            tel.count("markov.walk.steps", (columns.stop - columns.start) * length)
-
-        run_chunks(run_chunk, chunks, workers)
-    return counts
+    with telemetry.current().span("markov.walk.visit_counts"):
+        return _run_walks(
+            "visit", graph, chosen, seed, counts, length,
+            chunk_size, workers, strategy, executor, record=record,
+        )
 
 
-# ----------------------------------------------------------------------
-# cover tracking (the Monte-Carlo cover-time estimator's kernel)
-# ----------------------------------------------------------------------
 def walk_cover_steps(
     graph: Graph | ShardedGraph,
     sources: np.ndarray | Sequence[int],
@@ -788,85 +756,10 @@ def walk_cover_steps(
     :data:`NO_HIT`.  Visited state is a ``(chunk, n)`` boolean block;
     a chunk stops stepping once all of its walks have covered.
     """
-    chosen = _validate_sources(graph, sources)
-    _validate_strategy(strategy)
-    if max_steps < 1:
-        raise GraphError("max_steps must be positive")
+    chosen = _validate(graph, sources, max_steps, strategy, "max_steps", 1)
     out = np.empty(chosen.size, dtype=np.int64)
-    if chosen.size == 0:
-        return out
-    kind, workers = parallel.resolve_execution(executor, workers)
-    streams = _streams(seed, chosen.size)
-    stepper = _stepper(graph)
-    n = graph.num_nodes
-    tel = telemetry.current()
-    with tel.span("markov.walk.cover_steps"):
-        tel.count("markov.walk.walks", int(chosen.size))
-        if strategy == "sequential":
-            for i in range(chosen.size):
-                out[i] = _sequential_cover(
-                    int(chosen[i]), streams[i], max_steps, n, stepper
-                )
-            tel.count("markov.walk.absorbed", int(np.count_nonzero(out != NO_HIT)))
-            return out
-        chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            out_spec, out_view = parallel.create_output(out.shape, np.int64)
-            try:
-                parallel.run_process_chunks(
-                    _walk_process_chunk,
-                    {
-                        "graph": parallel.publish(graph),
-                        "mode": "cover",
-                        "max_steps": max_steps,
-                        "out": out_spec,
-                    },
-                    chunks,
-                    workers,
-                    chunk_payload=_walk_chunk_payload(chosen, streams),
-                )
-                return np.array(out_view)
-            finally:
-                parallel.release([out_spec])
-
-        def run_chunk(columns: slice) -> None:
-            with tel.span("markov.walk.chunk"):
-                covered, steps_taken = _cover_chunk(
-                    stepper, chosen[columns].copy(), streams[columns], max_steps, n
-                )
-                out[columns] = covered
-            tel.count("markov.walk.steps", steps_taken)
-            tel.count(
-                "markov.walk.absorbed", int(np.count_nonzero(covered != NO_HIT))
-            )
-
-        run_chunks(run_chunk, chunks, workers)
-    return out
-
-
-def _sequential_cover(
-    source: int,
-    stream: np.random.Generator,
-    max_steps: int,
-    n: int,
-    stepper: "_DenseStepper | _ShardedStepper",
-) -> int:
-    if n == 1:
-        return 0
-    visited = np.zeros(n, dtype=bool)
-    visited[source] = True
-    remaining = n - 1
-    state = source
-    step = 0
-    while step < max_steps:
-        count = min(_STEP_BLOCK, max_steps - step)
-        u = stream.random(count)
-        for t in range(count):
-            state = stepper.step(state, u[t])
-            if not visited[state]:
-                visited[state] = True
-                remaining -= 1
-                if remaining == 0:
-                    return step + t + 1
-        step += count
-    return NO_HIT
+    with telemetry.current().span("markov.walk.cover_steps"):
+        return _run_walks(
+            "cover", graph, chosen, seed, out, max_steps,
+            chunk_size, workers, strategy, executor,
+        )

@@ -63,9 +63,9 @@ def random_walks(
 
     Rides the vectorized engine (:func:`repro.markov.walk_batch.walk_block`)
     by default; ``strategy="sequential"`` keeps the per-walk oracle.
-    Each walk draws from its own child stream of ``rng`` (fresh entropy
-    when ``rng`` is None), so results do not depend on
-    ``chunk_size``/``workers``.
+    Each walk draws the engine's counter uniforms under a key taken
+    from ``rng`` (fresh entropy when ``rng`` is None), so results do
+    not depend on ``chunk_size``/``workers``.
     """
     from repro.markov.walk_batch import walk_block
 

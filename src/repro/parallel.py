@@ -652,7 +652,7 @@ def run_process_chunks(
     ``fn(payload, chunk)`` must be a module-level callable (pickled by
     reference); ``payload`` values may be plane refs, resolved in the
     worker via :func:`resolve`.  ``chunk_payload(chunk)`` contributes
-    per-chunk payload entries (e.g. that chunk's seed streams).
+    per-chunk payload entries (e.g. that chunk's walk sources).
     Results are returned in chunk order; the first failing chunk
     re-raises in the parent.  Fan-out telemetry matches the thread
     runner (``chunking.*``) plus ``parallel.*`` dispatch counters, and

@@ -542,15 +542,16 @@ def paper_measurement_pipeline(
             gatekeeper,
             deps=("load",),
             params={"num_controllers": num_controllers, "seed": seed},
-            # v2: distributor selection runs on the vectorized walk
-            # engine (per-walk seed streams), changing sampled walks
-            version=2,
+            # v3: distributor walks draw counter-based uniforms
+            # (v2: vectorized engine with per-walk seed streams)
+            version=3,
         ),
         Stage(
             "tables",
             tables,
             deps=("load", "mixing", "spectral", "cores", "expansion", "gatekeeper"),
-            version=2,
+            # v3: renders the walk-dependent gatekeeper row (see above)
+            version=3,
             params={
                 **measure_params,
                 "walk_lengths": lengths,
@@ -646,23 +647,28 @@ def fusion_comparison_pipeline(
             digest=load_digest,
         ),
         Stage("attack", attack, deps=("load",), params=attack_params),
+        # v2 (all three): walk-sampling defenses and the fusion priors
+        # draw counter-based uniforms
         Stage(
             "structure_scores",
             score_stage(STRUCTURE_DEFENSE_NAMES),
             deps=("attack",),
             params=score_params,
+            version=2,
         ),
         Stage(
             "fusion_scores",
             score_stage(FUSION_DEFENSE_NAMES),
             deps=("attack",),
             params=score_params,
+            version=2,
         ),
         Stage(
             "report",
             report,
             deps=("structure_scores", "fusion_scores"),
             params=score_params,
+            version=2,
         ),
     ]
     return Pipeline(

@@ -468,6 +468,8 @@ def privacy_frontier_pipeline(
                 perturb_stage(int(t)),
                 deps=("attack",),
                 params={**measure_params, "t": int(t)},
+                # v2: perturbation walks draw counter-based uniforms
+                version=2,
             )
         )
     stages.append(
@@ -476,6 +478,7 @@ def privacy_frontier_pipeline(
             frontier,
             deps=tuple(f"perturb_t{t}" for t in levels),
             params={**measure_params, "ts": [int(t) for t in levels]},
+            version=2,
         )
     )
     return Pipeline(

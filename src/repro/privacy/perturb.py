@@ -12,8 +12,9 @@ is the privacy-utility frontier measured in :mod:`repro.privacy.frontier`.
 
 The rewiring is vectorized on the Monte-Carlo walk engine
 (:func:`repro.markov.walk_batch.walk_endpoints`): one walk per
-half-edge, each driven by its own :class:`numpy.random.SeedSequence`
-child stream, so the perturbed graph is **bit-identical** for every
+half-edge, walk ``i`` (the ``i``-th CSR half-edge) driven by the
+engine's counter-based uniforms ``u[i, t]`` under ``seed``, so the
+perturbed graph is **bit-identical** for every
 ``chunk_size``/``workers`` combination (fan-out via
 :mod:`repro.chunking`) and identical to the per-edge
 ``strategy="sequential"`` oracle.
@@ -51,8 +52,8 @@ def perturb_links(
 
     Every directed half-edge ``u -> v`` proposes the replacement edge
     ``{u, z}`` with ``z`` the endpoint of a ``t``-step uniform random
-    walk from ``v`` (each half-edge owns an independent child stream of
-    ``seed``, in CSR half-edge order).  Proposals are repaired into a
+    walk from ``v`` (half-edge ``i`` in CSR order is walk ``i`` of one
+    engine call under ``seed``).  Proposals are repaired into a
     simple undirected graph on the same node set: endpoints landing
     back on ``u`` fall back to the original neighbor ``v`` (no self
     loops), and duplicate proposals merge in the canonical CSR

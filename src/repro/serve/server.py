@@ -81,6 +81,10 @@ def create_server(
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    #: socket timeout in seconds: a client that declares more body than
+    #: it sends (or idles on a kept-alive connection) releases its
+    #: handler thread instead of holding it forever
+    timeout = 30.0
 
     # quiet by default: per-request stderr lines would swamp the load
     # harness; telemetry counters carry the request accounting instead
@@ -175,7 +179,15 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+        if length < 0:
+            # read(-1) would block until the client closes the socket
+            raise ServeError("Content-Length must be non-negative")
+        try:
+            raw = self.rfile.read(length) if length else b"{}"
+        except TimeoutError as exc:
+            # the socket file is unusable after a timeout: answer, then close
+            self.close_connection = True
+            raise ServeError("request body shorter than its Content-Length") from exc
         try:
             body = json.loads(raw or b"{}")
         except json.JSONDecodeError as exc:

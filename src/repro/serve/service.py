@@ -359,6 +359,8 @@ class AdmissionService:
                         "seed": self._config.seed,
                     },
                     lambda: gatekeeper.run(int(controller)),
+                    # v2: distributor walks draw counter-based uniforms
+                    version=2,
                 ),
             )
         fresh = int(node) < snapshot.num_nodes
@@ -445,6 +447,8 @@ class AdmissionService:
                         chunk_size=chunk_size,
                         workers=workers,
                     ),
+                    # v2: escape walks draw counter-based uniforms
+                    version=2,
                 ),
             )
 

@@ -23,8 +23,9 @@ block, beliefs as an ``(n, 2)`` block, and every round is one gather /
 scatter pass (aggregate incoming log-messages per node, then update all
 half-edge messages from the aggregate with reverse-message exclusion).
 Rounds use damping and stop on message convergence; per-round work is
-chunked over half-edges through :mod:`repro.chunking` and reported into
-:mod:`repro.telemetry` (``sybil.fusion.bp.*`` spans and counters).
+chunked over half-edges through :mod:`repro.chunking` (element-wise, so
+one chunk per worker unless ``chunk_size`` says otherwise) and reported
+into :mod:`repro.telemetry` (``sybil.fusion.bp.*`` spans and counters).
 
 **Determinism contract.**  Message updates for one round depend only on
 the previous round's state, and chunks write disjoint slices, so
@@ -45,7 +46,7 @@ from repro import parallel, telemetry
 from repro.chunking import resolve_chunks, run_chunks
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
-from repro.markov.walk_batch import walk_visit_counts
+from repro.markov.walk_batch import WalkUniforms, seed_key, walk_visit_counts
 from repro.sybil.attack import SybilAttack
 
 __all__ = [
@@ -83,9 +84,10 @@ class PriorConfig:
     ``behavior_weight``
         Weight of the simulated behavioral classifier: a per-node
         accept/decline-pattern observation that reports the true region
-        flipped with probability ``behavior_noise`` (drawn from a
-        per-node child stream of ``seed``, so observations are stable
-        under graph edits).
+        flipped with probability ``behavior_noise`` (node ``v`` flips
+        when the walk engine's counter uniform ``u[v, 0]`` under
+        ``seed`` falls below it, so observations are stable under
+        graph edits).
     ``floor``
         Priors are squashed into ``[floor, 1 - floor]`` — BP must never
         receive a certain (0 or 1) prior for an unobserved node.
@@ -140,14 +142,10 @@ def extract_priors(
         exposure_rate = exposure / np.maximum(degrees, 1.0)
         honest_observed = (np.arange(n) < attack.num_honest).astype(float)
         if cfg.behavior_noise > 0.0:
-            # One child stream per node id: an observation never changes
-            # because an unrelated edge appeared elsewhere.
-            children = np.random.SeedSequence(cfg.seed).spawn(n)
-            flips = np.fromiter(
-                (np.random.default_rng(c).random() for c in children),
-                dtype=float,
-                count=n,
-            )
+            # The counter uniform u[node, 0] of the seed's key: an
+            # observation depends only on the node id, so it never
+            # changes because an unrelated edge appeared elsewhere.
+            flips = WalkUniforms(seed_key(cfg.seed), np.arange(n)).next()
             flipped = flips < cfg.behavior_noise
             honest_observed[flipped] = 1.0 - honest_observed[flipped]
         z = (
@@ -241,13 +239,15 @@ def _aggregate_incoming(
 ) -> np.ndarray:
     """Sum incoming log-messages per node, in half-edge order.
 
-    ``np.add.at`` applies the additions sequentially in index order, so
-    the per-node accumulation order is fixed (source ascending) — the
+    ``np.bincount`` adds the weights sequentially in index order (as
+    ``np.add.at`` does, one column at a time and far faster), so the
+    per-node accumulation order is fixed (source ascending) — the
     sequential oracle replays the same order, which is what makes the
     two strategies bit-identical.
     """
-    acc = np.zeros((n, 2))
-    np.add.at(acc, dst, logm)
+    acc = np.empty((n, 2))
+    for col in range(2):
+        acc[:, col] = np.bincount(dst, weights=logm[:, col], minlength=n)
     return acc
 
 
@@ -303,7 +303,8 @@ def loopy_belief_propagation(
     delta = 0.0
     rounds = 0
     kind, workers = parallel.resolve_execution(executor, workers)
-    chunks = resolve_chunks(num_half_edges, chunk_size, workers)
+    # element-wise rounds: one chunk per worker unless overridden
+    chunks = resolve_chunks(num_half_edges, chunk_size, workers, max_size=None)
     processes = strategy == "batched" and parallel.use_processes(
         kind, workers, len(chunks)
     )

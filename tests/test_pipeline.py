@@ -279,3 +279,77 @@ class TestResultDigest:
         b = Pipeline([Stage("a", lambda d: 2, digest="d1")], store=store).run()
         assert a.digest() != b.digest()
         assert to_jsonable(a.results) == {"a": 1}
+
+
+class TestWalkRngStaleEntries:
+    """Stores written before the walk engine drew counter-based uniforms
+    hold walk-dependent values of the old draws.  Every memoized stage
+    whose value depends on walk draws moved its version past the one
+    those stores used, so such an entry is a miss, never served."""
+
+    #: (pipeline, stage) -> the version entries were written at before
+    PRE_COUNTER = {
+        ("paper", "gatekeeper"): 2,
+        ("paper", "tables"): 2,
+        ("privacy", "perturb_t2"): 1,
+        ("privacy", "frontier"): 1,
+        ("fusion", "structure_scores"): 1,
+        ("fusion", "fusion_scores"): 1,
+        ("fusion", "report"): 1,
+    }
+
+    @staticmethod
+    def _pipeline(kind, store):
+        from repro.pipeline import fusion_comparison_pipeline
+        from repro.privacy import privacy_frontier_pipeline
+
+        if kind == "paper":
+            return paper_measurement_pipeline(
+                "rice_grad", scale=0.3, num_sources=5, store=store
+            )
+        if kind == "privacy":
+            return privacy_frontier_pipeline(
+                "rice_grad", scale=0.3, ts=(0, 2), store=store
+            )
+        return fusion_comparison_pipeline("rice_grad", scale=0.3, store=store)
+
+    @pytest.mark.parametrize(
+        "kind,name", sorted(PRE_COUNTER), ids=lambda v: str(v)
+    )
+    def test_old_version_entry_is_a_miss(self, tmp_path, kind, name):
+        store = ArtifactStore(tmp_path / "cache")
+        stage = self._pipeline(kind, store).stage(name)
+        old = self.PRE_COUNTER[(kind, name)]
+        assert stage.version > old
+        store.put("d" * 64, name, stage.params, "stale", version=old)
+        assert store.get("d" * 64, name, stage.params, version=stage.version) is None
+
+    def test_stale_gatekeeper_entry_is_recomputed(self, tmp_path):
+        store = ArtifactStore(tmp_path / "cache")
+        pipe = self._pipeline("paper", store)
+        graph = pipe.run(targets=["load"]).results["load"]
+        stage = pipe.stage("gatekeeper")
+        store.put(graph, "gatekeeper", stage.params, "stale", version=2)
+        result = pipe.run(targets=["gatekeeper"])
+        assert "gatekeeper" in result.executed
+        assert result.results["gatekeeper"] != "stale"
+
+    def test_stale_table2_entry_is_recomputed(self, tmp_path):
+        from repro.analysis.experiments import table2_gatekeeper
+        from repro.datasets import load_dataset
+
+        store = ArtifactStore(tmp_path / "cache")
+        graph = load_dataset("rice_grad", scale=0.3, seed=0)
+        params = {
+            "dataset": "rice_grad",
+            "num_attack_edges": max(graph.num_nodes // 100, 5),
+            "admission_factors": None,
+            "num_controllers": 1,
+            "seed": 0,
+        }
+        store.put(graph, "gatekeeper", params, "stale", version=2)
+        outcomes = table2_gatekeeper(
+            ["rice_grad"], num_controllers=1, scale=0.3, store=store
+        )
+        assert outcomes != "stale"
+        assert all(o.dataset == "rice_grad" for o in outcomes)

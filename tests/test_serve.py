@@ -310,6 +310,40 @@ class TestAdmissionService:
         assert np.array_equal(warm.rank_scores(), scores)
         assert store.stats.hits > 0
 
+    def test_stale_walk_entries_are_misses(self, tiny_wiki, tmp_path):
+        """Admission and escape entries written before the walk engine
+        drew counter-based uniforms (version 1) are never served."""
+        from repro.store import ArtifactStore
+
+        attack = _standard_attack(tiny_wiki, 12, seed=0)
+        store = ArtifactStore(tmp_path / "cache")
+        config = ServiceConfig(escape_walks=100)
+        service = AdmissionService(
+            attack.graph, num_honest=attack.num_honest, config=config, store=store
+        )
+        digest = service.snapshot_digest
+        admission_params = {
+            "controller": 0,
+            "num_distributors": config.num_distributors,
+            "admission_factor": config.admission_factor,
+            "seed": config.seed,
+        }
+        escape_params = {
+            "lengths": list(config.escape_lengths),
+            "num_walks": config.escape_walks,
+            "num_honest": attack.num_honest,
+            "strategy": "batched",
+            "chunk_size": None,
+            "workers": None,
+            "seed": config.seed,
+        }
+        store.put(digest, "serve.admission", admission_params, "stale", version=1)
+        store.put(digest, "serve.escape", escape_params, "stale", version=1)
+        assert set(service.admission(5, controller=0)) >= {"admitted", "reach"}
+        assert service.escape().escape.shape == (len(config.escape_lengths),)
+        versions = {e.stage: e.version for e in store.entries() if e.version > 1}
+        assert versions == {"serve.admission": 2, "serve.escape": 2}
+
     def test_telemetry_counters(self, ba_small):
         with telemetry.activate() as tel:
             service = AdmissionService(ba_small)
@@ -404,6 +438,164 @@ class TestHTTPServer:
             client._get("/rank")  # missing node param
         with pytest.raises(ServeError, match="HTTP 404"):
             client._get("/nope")
+
+    @staticmethod
+    def _raw(url: str, body: bytes | None = None) -> tuple[int, dict]:
+        """Send one request with an arbitrary body; return (status, JSON)."""
+        import json
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            url, data=body, method="GET" if body is None else "POST"
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=30) as resp:
+                return resp.status, json.loads(resp.read())
+        except urllib.error.HTTPError as exc:
+            return exc.code, json.loads(exc.read())
+
+    @pytest.mark.parametrize(
+        "path,body",
+        [
+            ("/edges", b"not json"),
+            ("/edges", b'{"u": 0, "v":'),
+            ("/edges", b"\xff\xfe\x00"),
+            ("/edges", b"[0, 1]"),
+            ("/edges", b"null"),
+            ("/compact", b"[]"),
+            ("/edges", b'{"u": "0", "v": 1}'),
+            ("/edges", b'{"u": 0.5, "v": 1}'),
+            ("/edges", b'{"u": true, "v": 1}'),
+            ("/edges", b'{"u": [0], "v": 1}'),
+            ("/nodes", b'{"count": "3"}'),
+            ("/edges", b'{"u": 0}'),
+            ("/edges/remove", b"{}"),
+            ("/edges", b'{"u": -1, "v": 3}'),
+            ("/nodes", b'{"count": 0}'),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.decode("latin-1"),
+    )
+    def test_malformed_body_is_400_and_next_request_succeeds(
+        self, served, path, body
+    ):
+        service, client = served
+        before = service.stats()
+        status, doc = self._raw(client._base + path, body)
+        assert status == 400 and doc["error"]
+        after = service.stats()
+        assert (after.num_nodes, after.num_edges) == (
+            before.num_nodes, before.num_edges
+        )
+        assert client.rank(3) == service.rank(3)
+        assert client.add_node() == after.num_nodes
+
+    @staticmethod
+    def _raw_socket(url: str, request: bytes) -> bytes:
+        """Send raw bytes on a fresh connection; return the reply (or b"")."""
+        import socket
+        from urllib.parse import urlparse
+
+        address = urlparse(url)
+        with socket.create_connection(
+            (address.hostname, address.port), timeout=10
+        ) as sock:
+            sock.sendall(request)
+            chunks = []
+            while True:
+                data = sock.recv(4096)
+                if not data:
+                    return b"".join(chunks)
+                chunks.append(data)
+                if b"\r\n\r\n" in b"".join(chunks):
+                    return b"".join(chunks)
+
+    def test_negative_content_length_is_400(self, served):
+        service, client = served
+        reply = self._raw_socket(
+            client._base,
+            b"POST /edges HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n"
+            b"Connection: close\r\n\r\n{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert client.rank(3) == service.rank(3)
+
+    def test_short_body_times_out_instead_of_parking(self, served, monkeypatch):
+        """A body shorter than its Content-Length releases the handler
+        once the socket timeout passes (shortened here from 30 s)."""
+        from repro.serve import server as server_module
+
+        assert 0 < server_module._Handler.timeout <= 60
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.5)
+        service, client = served
+        reply = self._raw_socket(
+            client._base,
+            b"POST /edges HTTP/1.1\r\nHost: x\r\nContent-Length: 999\r\n\r\n{}",
+        )
+        assert reply.startswith(b"HTTP/1.1 400")
+        assert b"shorter than its Content-Length" in reply
+        assert client.rank(3) == service.rank(3)
+
+    @pytest.mark.parametrize(
+        "query",
+        ["/rank?node=abc", "/rank", "/admission?node=1&controller=x",
+         "/escape?lengths=2,x"],
+    )
+    def test_malformed_query_is_400(self, served, query):
+        service, client = served
+        status, doc = self._raw(client._base + query)
+        assert status == 400 and doc["error"]
+        assert client.rank(3) == service.rank(3)
+
+    def test_compaction_racing_reads_and_writes(self, served):
+        """``/compact`` racing concurrent ``/admission``, ``/rank`` and
+        edge writes: every reply is 200, and the final counts match the
+        writes that reported a change."""
+        service, client = served
+        base = service.stats()
+        n = base.num_nodes
+        statuses: list[int] = []
+        changed: list[bool] = []
+        lock = threading.Lock()
+
+        def record(status: int) -> None:
+            with lock:
+                statuses.append(status)
+
+        def reader(offset: int) -> None:
+            for i in range(6):
+                node = (offset + 7 * i) % n
+                record(self._raw(f"{client._base}/rank?node={node}")[0])
+                record(
+                    self._raw(f"{client._base}/admission?node={node}&controller=0")[0]
+                )
+
+        def writer() -> None:
+            rng = np.random.default_rng(5)
+            for _ in range(5):
+                for _ in range(3):
+                    u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+                    status, doc = self._raw(
+                        f"{client._base}/edges", f'{{"u": {u}, "v": {v}}}'.encode()
+                    )
+                    record(status)
+                    with lock:
+                        changed.append(bool(doc.get("changed")))
+                record(self._raw(f"{client._base}/compact", b"{}")[0])
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in (0, 3)]
+        threads.append(threading.Thread(target=writer))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert statuses and set(statuses) == {200}
+        service.compact()
+        final = service.stats()
+        assert final.num_nodes == final.snapshot_nodes == n
+        assert final.num_edges == final.snapshot_edges == base.num_edges + sum(changed)
+        assert final.overlay_edges == 0 and final.staleness == 0
+        assert service.snapshot.num_edges == final.num_edges
 
     def test_unexpected_error_is_500_and_server_keeps_serving(
         self, served, monkeypatch

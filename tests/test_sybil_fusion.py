@@ -124,6 +124,23 @@ class TestDifferential:
         )
         assert np.array_equal(batched.beliefs, sequential.beliefs)
 
+    def test_aggregation_matches_add_at(self):
+        """The per-column ``bincount`` sum is byte-identical to the
+        sequential ``np.add.at`` it replaced, duplicates and unsorted
+        destinations included."""
+        from repro.sybil.fusion import _aggregate_incoming
+
+        rng = np.random.default_rng(3)
+        n = 50
+        dst = np.concatenate([rng.integers(0, n, 4000), [7] * 300, [0, 49, 7]])
+        rng.shuffle(dst)
+        logm = np.log(rng.uniform(1e-6, 1.0, size=(dst.size, 2)))
+        reference = np.zeros((n, 2))
+        np.add.at(reference, dst, logm)
+        got = _aggregate_incoming(n, dst, logm)
+        assert got.tobytes() == reference.tobytes()
+        assert _aggregate_incoming(n, dst[:0], logm[:0]).tobytes() == bytes(n * 16)
+
     def test_defense_results_plan_invariant(self, attack, priors):
         """The full defenses inherit bit-identity from engine + walks."""
         for cls in (SybilFrame, SybilFuse):
@@ -255,6 +272,27 @@ class TestPriorProperties:
         # both endpoints gained exposure: never more honest-looking
         assert pb[victim] <= pa[victim]
         assert pb[sybil_endpoint] <= pa[sybil_endpoint]
+
+
+    def test_behavior_flip_rate_and_node_keying(self):
+        """Observations flip at the configured rate, and node ``v``'s
+        observation depends only on ``v``: growing the graph leaves the
+        existing nodes' observations unchanged."""
+        config = PriorConfig(
+            degree_weight=0.0, exposure_weight=0.0, behavior_noise=0.2, seed=9
+        )
+
+        def observed_honest(n):
+            attack = SybilAttack(
+                graph=path_graph(n), num_honest=n, attack_edges=np.empty((0, 2))
+            )
+            return extract_priors(attack, 0, config)[1:] > 0.5
+
+        small, large = observed_honest(500), observed_honest(4000)
+        assert np.array_equal(small, large[: small.size])
+        flipped = 1.0 - large.mean()
+        # binomial sd over 3999 nodes is about 0.0063
+        assert abs(flipped - 0.2) < 0.03
 
 
 class TestPosteriorProperties:

@@ -2,8 +2,11 @@
 
 The engine's contract is *bit-identity*: for every mode, the result
 must not depend on ``chunk_size``, ``workers`` or ``strategy`` —
-walks draw from per-walk seed streams, so execution layout cannot
-matter.  This suite pins that grid, the per-walk sequential oracle,
+walks draw counter-based uniforms keyed by walk index and step, so
+execution layout cannot matter.  This suite pins that grid, the
+per-walk sequential oracle, the quality of the counter uniforms
+(uniformity, independence across walks and steps, endpoints against
+the exact ``P^t``), the seed contracts, the derived chunk plan,
 structural walk properties on adversarial graph shapes (isolated
 nodes, degree-1 chains, disconnected components), the statistical
 agreement of the Monte-Carlo escape measurement with the exact
@@ -16,11 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from repro import telemetry
 from repro.errors import GraphError
 from repro.generators import barabasi_albert, complete_graph, cycle_graph
 from repro.graph import Graph
+from repro.graph.shard import ShardedGraph
 from repro.markov import (
     NO_HIT,
     estimate_hitting_time,
@@ -31,6 +36,7 @@ from repro.markov import (
     walk_first_hits,
     walk_visit_counts,
 )
+from repro.markov.walk_batch import WalkUniforms, seed_key
 from repro.sybil.attack import inject_sybils
 from repro.sybil.escape import exact_escape_probability, measure_escape
 
@@ -152,10 +158,160 @@ class TestSeedDiscipline:
 
     def test_prefix_stability(self, ba_small):
         """Walk i's trajectory does not depend on how many walks ride
-        along — the spawn-prefix property the chunk invariance rests on."""
+        along — the walk-index keying the chunk invariance rests on."""
         few = walk_block(ba_small, [4, 5], 12, seed=11)
         many = walk_block(ba_small, [4, 5, 6, 7, 8], 12, seed=11)
         assert np.array_equal(few, many[:2])
+
+    def test_step_prefix_stability(self, ba_small):
+        """A shorter walk is a prefix of a longer one under the same seed."""
+        short = walk_block(ba_small, [4, 5, 6], 5, seed=11)
+        long = walk_block(ba_small, [4, 5, 6], 12, seed=11)
+        assert np.array_equal(short, long[:, :6])
+
+    def test_key_contracts(self):
+        assert seed_key(5) == seed_key(5)
+        assert seed_key(5) == seed_key(np.random.SeedSequence(5))
+        assert seed_key(5) != seed_key(6)
+        gen = np.random.default_rng(0)
+        assert seed_key(gen) != seed_key(gen)  # a draw advances it
+        again = np.random.default_rng(0)
+        assert seed_key(again) == seed_key(np.random.default_rng(0))
+
+    def test_seedsequence_advances(self, ba_small):
+        root = np.random.SeedSequence(5)
+        a = walk_block(ba_small, [0, 1], 8, seed=root)
+        b = walk_block(ba_small, [0, 1], 8, seed=root)
+        assert not np.array_equal(a, b)
+
+    def test_empty_call_consumes_no_seed(self, ba_small):
+        gen = np.random.default_rng(0)
+        walk_endpoints(ba_small, [], 8, seed=gen)
+        assert np.array_equal(
+            walk_endpoints(ba_small, [0, 1], 8, seed=gen),
+            walk_endpoints(ba_small, [0, 1], 8, seed=np.random.default_rng(0)),
+        )
+
+
+class TestCounterUniforms:
+    """Statistical quality of the counter-based uniforms themselves."""
+
+    WALKS = 4000
+    STEPS = 50
+
+    @pytest.fixture(scope="class")
+    def u(self) -> np.ndarray:
+        """``u[i, t]`` for 4000 walks x 50 steps under one key."""
+        uniforms = WalkUniforms(seed_key(7), np.arange(self.WALKS))
+        return np.stack([uniforms.next() for _ in range(self.STEPS)], axis=1)
+
+    def test_range(self, u):
+        assert u.min() >= 0.0 and u.max() < 1.0
+
+    def test_chunking_cannot_change_values(self, u):
+        key = seed_key(7)
+        tail = WalkUniforms(key, np.arange(1234, self.WALKS))
+        rows = np.stack([tail.next() for _ in range(self.STEPS)], axis=1)
+        assert np.array_equal(rows, u[1234:])
+
+    def test_block_matches_steps(self, u):
+        uniforms = WalkUniforms(seed_key(7), np.arange(self.WALKS))
+        head = uniforms.block(17)
+        rest = np.stack([uniforms.next() for _ in range(self.STEPS - 17)], axis=1)
+        assert np.array_equal(np.concatenate([head, rest], axis=1), u)
+
+    @pytest.mark.parametrize("bins", [10, 100, 1000])
+    def test_uniform_chi_square(self, u, bins):
+        observed = np.bincount((u.ravel() * bins).astype(np.int64), minlength=bins)
+        expected = u.size / bins
+        statistic = float(((observed - expected) ** 2).sum() / expected)
+        assert statistic < chi2.ppf(0.9999, bins - 1)
+
+    def test_adjacent_walks_uncorrelated(self, u):
+        # corr over 3999 x 50 pairs: sd about 0.0022, bound 5 sd
+        r = np.corrcoef(u[:-1].ravel(), u[1:].ravel())[0, 1]
+        assert abs(r) < 0.011
+
+    def test_adjacent_steps_uncorrelated(self, u):
+        r = np.corrcoef(u[:, :-1].ravel(), u[:, 1:].ravel())[0, 1]
+        assert abs(r) < 0.011
+
+    def test_pairs_fill_the_unit_square(self, u):
+        """Adjacent-walk and adjacent-step pairs fall evenly on a 16 x 16 grid."""
+        for a, b in ((u[:-1], u[1:]), (u[:, :-1], u[:, 1:])):
+            cells = (a * 16).astype(np.int64) * 16 + (b * 16).astype(np.int64)
+            observed = np.bincount(cells.ravel(), minlength=256)
+            expected = cells.size / 256
+            statistic = ((observed - expected) ** 2).sum() / expected
+            assert statistic < chi2.ppf(0.9999, 255)
+
+    @pytest.mark.parametrize("t", [1, 2, 5, 7])
+    def test_endpoints_match_exact_transition_power(self, t):
+        """200k endpoints on BA(120, 3) against the exact ``P^t`` rows.
+
+        chi^2 / dof over nodes stays below 1.5 (about the 99.97%
+        quantile at dof = 119).  Over t in {1, 2, 5, 7} and seeds 0-5
+        the counter uniforms give 0.71-1.24 and the earlier per-walk
+        generator streams gave 0.69-1.17.
+        """
+        g = barabasi_albert(120, 3, seed=0)
+        n = g.num_nodes
+        adjacency = np.zeros((n, n))
+        adjacency[np.repeat(np.arange(n), g.degrees), g.indices] = 1.0
+        step = adjacency / adjacency.sum(axis=1, keepdims=True)
+        sources = np.arange(200_000) % n
+        expected = np.bincount(sources, minlength=n) @ np.linalg.matrix_power(step, t)
+        keep = expected > 0
+        for seed in range(3):
+            ends = walk_endpoints(g, sources, t, seed=seed)
+            observed = np.bincount(ends, minlength=n)
+            chi2 = ((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum()
+            assert chi2 / (keep.sum() - 1) < 1.5, (t, seed)
+
+
+class TestChunkPlan:
+    """The derived default plan: one chunk per worker, capped for cover."""
+
+    def test_one_chunk_inline(self, ba_small):
+        with telemetry.activate() as tel:
+            walk_endpoints(ba_small, np.zeros(5000, dtype=np.int64), 4, seed=0)
+        assert tel.counters["chunking.chunks"] == 1
+
+    def test_one_chunk_per_worker(self, ba_small):
+        with telemetry.activate() as tel:
+            walk_endpoints(
+                ba_small, np.zeros(5000, dtype=np.int64), 4, seed=0, workers=2
+            )
+        assert tel.counters["chunking.chunks"] == 2
+
+    def test_cover_chunk_capped_by_memory(self, monkeypatch, k5):
+        from repro.markov import walk_batch
+
+        monkeypatch.setattr(walk_batch, "COVER_CHUNK_BYTES", 5 * 4)
+        with telemetry.activate() as tel:
+            capped = walk_cover_steps(k5, np.zeros(10, dtype=np.int64), 200, seed=1)
+        assert tel.counters["chunking.chunks"] == 3
+        assert np.array_equal(
+            capped, walk_cover_steps(k5, np.zeros(10, dtype=np.int64), 200, seed=1,
+                                     chunk_size=10)
+        )
+
+    def test_sharded_default_loads_no_more_shards(self, tmp_path):
+        """Through a 2-resident LRU over 8 shards, the default plan loads
+        no more shards than 4096-walk chunks (the old default of 128
+        thrashed the LRU once per chunk and step)."""
+        g = barabasi_albert(2000, 3, seed=1)
+        sharded = ShardedGraph.from_graph(
+            g, tmp_path / "lru", num_shards=8, max_resident_shards=2
+        )
+        sources = np.random.default_rng(0).integers(0, g.num_nodes, 10_000)
+        loads = {}
+        for plan in (None, 4096):
+            with telemetry.activate() as tel:
+                ends = walk_endpoints(sharded, sources, 6, seed=3, chunk_size=plan)
+            loads[plan] = tel.counters["shard.loads"]
+            assert np.array_equal(ends, walk_endpoints(g, sources, 6, seed=3))
+        assert loads[None] <= loads[4096]
 
 
 class TestWalkStructure:
