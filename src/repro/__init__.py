@@ -33,7 +33,6 @@ Subpackages
 ``repro.pipeline``   declarative stage-DAG experiment runner
 ``repro.telemetry``  span/counter/gauge instrumentation registry
 ``repro.privacy``    link-privacy perturbation + privacy-utility frontier
-``repro.parallel``   process execution backend + shared-memory graph plane
 """
 
 from repro.analysis import (
@@ -54,7 +53,6 @@ from repro.datasets import (
 )
 from repro.errors import ReproError
 from repro.expansion import envelope_expansion, expansion_factor_series
-from repro.parallel import execution
 from repro.graph import Graph, GraphBuilder, ShardedGraph
 from repro.markov import TransitionOperator, random_walk, total_variation_distance
 from repro.mixing import sampled_mixing_profile, sampled_mixing_time, slem
@@ -94,7 +92,6 @@ __all__ = [
     "coreness_ecdf",
     "envelope_expansion",
     "expansion_factor_series",
-    "execution",
     "ArtifactStore",
     "graph_digest",
     "Pipeline",

@@ -8,13 +8,12 @@ contiguous chunks: ``chunk_size`` bounds the per-chunk working set at
 over a thread pool.  Chunks are independent and write into disjoint
 pre-allocated slices, so results are deterministic regardless of
 scheduling.  This runner uses threads: the shared graph or matrix is
-free to share and the pool is free to start.  When per-chunk Python
-time is GIL-bound, the engines' ``executor="process"`` knob dispatches
-the same chunk plan to :mod:`repro.parallel` instead, which shares the
-graph through a shared-memory plane rather than pickling it per worker.
+free to share and the pool is free to start.
 
-This module holds the one chunk planner and runner both engines share,
-so the two engines stay API-identical by construction.
+This module holds the one chunk planner and runner every engine shares
+(TVD, BFS, walks, loopy BP, the pipeline's stage waves), so the engines
+stay API-identical by construction and no engine has a second dispatch
+path.
 
 Zero sources are a legal plan: ``resolve_chunks(0, ...)`` returns an
 empty chunk list and ``run_chunks`` treats an empty list as a no-op

@@ -87,8 +87,6 @@ from repro.mixing import (
     slem,
 )
 from repro import telemetry
-from repro.chunking import default_workers
-from repro.parallel import EXECUTORS
 from repro.pipeline import fusion_comparison_pipeline, paper_measurement_pipeline
 from repro.store import ArtifactStore, memoize
 
@@ -100,13 +98,15 @@ def _store_from(args: argparse.Namespace) -> ArtifactStore | None:
     return ArtifactStore(cache_dir) if cache_dir else None
 
 
-def _workers_from(args: argparse.Namespace) -> int | None:
-    """Resolve ``--workers``, defaulting to the core count when a
-    non-thread executor was requested without an explicit fan-out."""
-    workers = getattr(args, "workers", None)
-    if workers is None and getattr(args, "executor", None) in ("process", "auto"):
-        return default_workers()
-    return workers
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {value}")
+    return value
 
 
 def _cmd_datasets(_: argparse.Namespace) -> int:
@@ -483,8 +483,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         seed=args.seed,
         num_sources=args.sources,
         store=store,
-        workers=_workers_from(args),
-        executor=args.executor,
+        workers=args.workers,
     )
     if args.pipeline_command == "stages":
         rows = [
@@ -535,8 +534,7 @@ def _cmd_sybil(args: argparse.Namespace) -> int:
         topology=args.topology,
         suspect_sample=args.suspect_sample,
         store=_store_from(args),
-        workers=_workers_from(args),
-        executor=args.executor,
+        workers=args.workers,
     )
     result = pipeline.run()
     report = result.results["report"]
@@ -590,8 +588,7 @@ def _cmd_privacy(args: argparse.Namespace) -> int:
         suspect_sample=args.suspect_sample,
         num_sources=args.sources,
         store=_store_from(args),
-        workers=_workers_from(args),
-        executor=args.executor,
+        workers=args.workers,
     )
     result = pipeline.run()
     frontier = result.results["frontier"]
@@ -846,14 +843,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--scale", type=float, default=0.25)
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--sources", type=int, default=50)
-        cmd.add_argument("--workers", type=int)
-        cmd.add_argument(
-            "--executor",
-            choices=EXECUTORS,
-            help="batch-engine backend: threads share the GIL, processes "
-            "fan chunks out over a shared-memory graph plane "
-            "(default workers: one per core)",
-        )
+        cmd.add_argument("--workers", type=_positive_int)
         cmd.add_argument("--cache-dir", help=cache_help)
         cmd.add_argument(
             "--stages",
@@ -886,12 +876,7 @@ def main(argv: list[str] | None = None) -> int:
     compare.add_argument("--scale", type=float, default=0.25)
     compare.add_argument("--seed", type=int, default=0)
     compare.add_argument("--suspect-sample", type=int, default=120)
-    compare.add_argument("--workers", type=int)
-    compare.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        help="batch-engine backend (thread, process, or auto)",
-    )
+    compare.add_argument("--workers", type=_positive_int)
     compare.add_argument("--cache-dir", help=cache_help)
     privacy = sub.add_parser(
         "privacy",
@@ -927,12 +912,7 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--sources", type=int, default=50)
     sweep.add_argument("--suspect-sample", type=int, default=120)
-    sweep.add_argument("--workers", type=int)
-    sweep.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        help="batch-engine backend (thread, process, or auto)",
-    )
+    sweep.add_argument("--workers", type=_positive_int)
     sweep.add_argument("--cache-dir", help=cache_help)
     serve = sub.add_parser(
         "serve",

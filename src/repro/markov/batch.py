@@ -19,13 +19,9 @@ This module is the engine shared by :mod:`repro.mixing.sampling`,
 
 Memory is bounded by column chunking (``chunk_size`` keeps the working
 set at ``O(n * chunk_size)``), and chunks can optionally fan out over a
-thread pool (``workers``) or — with ``executor="process"`` — over the
-persistent process pool of :mod:`repro.parallel`: the matrix is
-published once into the shared-memory plane (never pickled per
-worker), chunk TVD rows land in a shared output buffer, and the same
-module-level kernel runs on both backends, so every executor x
-chunk_size x workers combination stays bit-identical to the others and
-to the sequential oracle.
+thread pool (``workers``) through :mod:`repro.chunking`; chunks write
+disjoint rows of one output, so every chunk_size x workers combination
+stays bit-identical to the others and to the sequential oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.chunking import DEFAULT_CHUNK_SIZE, resolve_chunks, run_chunks
 from repro.errors import GraphError
 from repro.graph.shard import ShardedGraph
@@ -188,14 +184,7 @@ def _evolve_tvd(
     stationary: np.ndarray,
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """Evolve one column block through the length grid; return TVD rows.
-
-    The single chunk kernel both backends run: the thread closure hands
-    it a view of the parent's delta block, the process task a freshly
-    built chunk delta block — identical values either way, and scipy
-    copies a non-contiguous right-hand side before its product loop, so
-    the two entries are byte-identical.
-    """
+    """Evolve one column block through the length grid; return TVD rows."""
     rows = np.empty((block.shape[1], lengths.size))
     step = 0
     for col, target in enumerate(lengths):
@@ -209,26 +198,6 @@ def _evolve_tvd(
     return rows
 
 
-def _tvd_process_chunk(payload: dict, columns: slice) -> None:
-    """Process-backend chunk task: write TVD rows into the shared output."""
-    matrix = parallel.resolve(payload["matrix"])
-    stationary = parallel.resolve(payload["stationary"])
-    out = parallel.resolve(payload["out"])
-    lengths = payload["lengths"]
-    tel = telemetry.current()
-    with tel.span("markov.batch.evolve_chunk"):
-        sharded = isinstance(matrix, ShardedGraph)
-        evolver = _ShardedEvolver(matrix) if sharded else None
-        n = matrix.num_nodes if sharded else matrix.shape[0]
-        block = delta_block(n, payload["sources"][columns])
-        out[columns] = _evolve_tvd(
-            block, None if sharded else matrix.T, evolver, stationary, lengths
-        )
-    tel.count(
-        "markov.batch.steps", int(lengths[-1]) * (columns.stop - columns.start)
-    )
-
-
 def batched_tvd_profile(
     matrix: sp.spmatrix | ShardedGraph,
     stationary: np.ndarray,
@@ -236,7 +205,6 @@ def batched_tvd_profile(
     walk_lengths: np.ndarray | Sequence[int],
     chunk_size: int | None = None,
     workers: int | None = None,
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return the ``(len(sources), len(walk_lengths))`` TVD matrix.
 
@@ -244,10 +212,7 @@ def batched_tvd_profile(
     ``sources[j]``'s ``walk_lengths[t]``-step distribution and
     ``stationary``.  Sources are evolved as dense column blocks of at
     most ``chunk_size`` columns (default ``DEFAULT_CHUNK_SIZE``); with
-    ``workers`` the independent chunks run on a thread pool, or — with
-    ``executor="process"`` (or an ambient
-    :func:`repro.parallel.execution` scope) — on the shared-memory
-    process backend, bit-identical to the thread path.
+    ``workers`` the independent chunks run on a thread pool.
 
     ``matrix`` may be a :class:`~repro.graph.shard.ShardedGraph`
     instead of a resident transition matrix: each chunk then streams
@@ -263,15 +228,10 @@ def batched_tvd_profile(
     chosen = np.asarray(list(sources), dtype=np.int64)
     if chosen.size == 0:
         return np.empty((0, lengths.size))
-    kind, workers = parallel.resolve_execution(executor, workers)
     tel = telemetry.current()
     with tel.span("markov.batch.tvd_profile"):
         tel.count("markov.batch.sources", int(chosen.size))
         chunks = resolve_chunks(chosen.size, chunk_size, workers)
-        if parallel.use_processes(kind, workers, len(chunks)):
-            return _tvd_profile_processes(
-                matrix, stationary, chosen, lengths, chunks, workers
-            )
         sharded = matrix if isinstance(matrix, ShardedGraph) else None
         evolver = _ShardedEvolver(sharded) if sharded is not None else None
         n = sharded.num_nodes if sharded is not None else matrix.shape[0]
@@ -295,32 +255,3 @@ def batched_tvd_profile(
         run_chunks(run_chunk, chunks, workers)
         return tvd
 
-
-def _tvd_profile_processes(
-    matrix: sp.spmatrix | ShardedGraph,
-    stationary: np.ndarray,
-    chosen: np.ndarray,
-    lengths: np.ndarray,
-    chunks: list[slice],
-    workers: int,
-) -> np.ndarray:
-    """Dispatch the TVD chunk grid to the shared-memory process pool."""
-    ref = parallel.publish(matrix)
-    stationary_spec = parallel.share_array(np.asarray(stationary, dtype=float))
-    out_spec, out_view = parallel.create_output((chosen.size, lengths.size), float)
-    try:
-        parallel.run_process_chunks(
-            _tvd_process_chunk,
-            {
-                "matrix": ref,
-                "stationary": stationary_spec,
-                "out": out_spec,
-                "sources": chosen,
-                "lengths": lengths,
-            },
-            chunks,
-            workers,
-        )
-        return np.array(out_view)
-    finally:
-        parallel.release([stationary_spec, out_spec])

@@ -34,7 +34,7 @@ where ``mix64`` is the splitmix64 finalizer, ``GAMMA`` the golden-ratio
 increment ``0x9E3779B97F4A7C15`` and ``key`` one 64-bit word derived
 from ``seed`` by :func:`seed_key`.  A uniform depends only on
 ``(key, i, t)``, so results are **bit-identical** for every
-``chunk_size``/``workers``/``executor`` combination and identical to
+``chunk_size``/``workers`` combination and identical to
 the per-walk ``strategy="sequential"`` oracle by construction: a chunk
 needs only the key and its first walk index.  An int seed and a fresh
 :class:`~numpy.random.SeedSequence` of that int give the same walks; a
@@ -50,10 +50,6 @@ planner (:mod:`repro.chunking`); every chunk reports a
 ``markov.walk.chunk`` span and the ``markov.walk.walks`` /
 ``markov.walk.steps`` / ``markov.walk.absorbed`` counters into
 :mod:`repro.telemetry`.
-
-``executor="process"`` ships each chunk's sources plus the key to the
-shared-memory process backend of :mod:`repro.parallel`; the chunk
-kernels are the same module-level functions the thread path calls.
 """
 
 from __future__ import annotations
@@ -63,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.chunking import resolve_chunks, run_chunks
 from repro.errors import GraphError
 from repro.graph.core import Graph
@@ -331,7 +327,7 @@ def _stepper(graph: "Graph | ShardedGraph") -> "_DenseStepper | _ShardedStepper"
 
 
 # ----------------------------------------------------------------------
-# per-chunk kernels (shared verbatim by the thread and process backends)
+# per-chunk kernels
 #
 # kernel(stepper, states, uniforms, length, mask, record) returns
 # ``(values, steps taken)``: one row per walk, or per-node visit counts.
@@ -433,31 +429,6 @@ def _run_kernel(mode, stepper, states, key, columns, length, mask, record):
     return values
 
 
-def _walk_process_chunk(payload: dict, columns: slice) -> np.ndarray | None:
-    """Process-backend chunk task: the thread path's kernel in a worker.
-
-    Per-walk outputs land in the shared buffer; ``visit`` partial
-    counts are returned for the parent to sum (integer addition
-    commutes, so merge order cannot matter).
-    """
-    graph = parallel.resolve(payload["graph"])
-    mask = payload["mask"]
-    values = _run_kernel(
-        payload["mode"],
-        _stepper(graph),
-        payload["states"],
-        payload["key"],
-        columns,
-        payload["length"],
-        None if mask is None else parallel.resolve(mask),
-        payload["record"],
-    )
-    if payload["out"] is None:
-        return values
-    parallel.resolve(payload["out"])[columns] = values
-    return None
-
-
 def _run_walks(
     mode: str,
     graph: "Graph | ShardedGraph",
@@ -468,18 +439,16 @@ def _run_walks(
     chunk_size: int | None,
     workers: int | None,
     strategy: str,
-    executor: str | None,
     mask: np.ndarray | None = None,
     record: str | None = None,
 ) -> np.ndarray:
-    """The one dispatch seam of every mode: oracle, processes or threads.
+    """The one dispatch seam of every mode: oracle or thread chunks.
 
     ``out`` is ``(num_walks, ...)`` for per-walk modes, ``(n,)`` zeros
     for ``visit``; it is filled and returned.
     """
     if chosen.size == 0:
         return out
-    kind, workers = parallel.resolve_execution(executor, workers)
     key = seed_key(seed)
     stepper = _stepper(graph)
     tel = telemetry.current()
@@ -491,42 +460,6 @@ def _run_walks(
         max_size = max(1, COVER_CHUNK_BYTES // graph.num_nodes)
     chunks = resolve_chunks(chosen.size, chunk_size, workers, max_size=max_size)
     visit = mode == "visit"
-    if parallel.use_processes(kind, workers, len(chunks)):
-        specs: list = []
-        try:
-            payload = {
-                "graph": parallel.publish(graph),
-                "mode": mode,
-                "key": key,
-                "length": length,
-                "record": record,
-                "mask": None,
-                "out": None,
-            }
-            if mask is not None:
-                payload["mask"] = parallel.share_array(mask)
-                specs.append(payload["mask"])
-            if not visit:
-                payload["out"], out_view = parallel.create_output(
-                    out.shape, np.int64
-                )
-                specs.append(payload["out"])
-            partials = parallel.run_process_chunks(
-                _walk_process_chunk,
-                payload,
-                chunks,
-                workers,
-                chunk_payload=lambda columns: {"states": chosen[columns].copy()},
-            )
-            if visit:
-                for local in partials:
-                    np.add(out, local, out=out)
-            else:
-                out[...] = out_view
-            return out
-        finally:
-            parallel.release(specs)
-
     merge_lock = threading.Lock()
 
     def run_chunk(columns: slice) -> None:
@@ -628,7 +561,6 @@ def walk_block(
     chunk_size: int | None = None,
     workers: int | None = None,
     strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return one walk per source as a ``(len(sources), length + 1)`` block.
 
@@ -643,7 +575,7 @@ def walk_block(
     with telemetry.current().span("markov.walk.block"):
         return _run_walks(
             "block", graph, chosen, seed, out, length,
-            chunk_size, workers, strategy, executor,
+            chunk_size, workers, strategy,
         )
 
 
@@ -655,7 +587,6 @@ def walk_endpoints(
     chunk_size: int | None = None,
     workers: int | None = None,
     strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return the ``length``-step endpoint of one walk per source.
 
@@ -668,7 +599,7 @@ def walk_endpoints(
     with telemetry.current().span("markov.walk.endpoints"):
         return _run_walks(
             "endpoints", graph, chosen, seed, out, length,
-            chunk_size, workers, strategy, executor,
+            chunk_size, workers, strategy,
         )
 
 
@@ -681,7 +612,6 @@ def walk_first_hits(
     chunk_size: int | None = None,
     workers: int | None = None,
     strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return per walk the first step index at which it stands on ``mask``.
 
@@ -704,7 +634,7 @@ def walk_first_hits(
     with telemetry.current().span("markov.walk.first_hits"):
         return _run_walks(
             "first_hits", graph, chosen, seed, out, length,
-            chunk_size, workers, strategy, executor, mask=hit_mask,
+            chunk_size, workers, strategy, mask=hit_mask,
         )
 
 
@@ -717,7 +647,6 @@ def walk_visit_counts(
     chunk_size: int | None = None,
     workers: int | None = None,
     strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Accumulate per-node visit counts over one walk per source.
 
@@ -736,7 +665,7 @@ def walk_visit_counts(
     with telemetry.current().span("markov.walk.visit_counts"):
         return _run_walks(
             "visit", graph, chosen, seed, counts, length,
-            chunk_size, workers, strategy, executor, record=record,
+            chunk_size, workers, strategy, record=record,
         )
 
 
@@ -748,7 +677,6 @@ def walk_cover_steps(
     chunk_size: int | None = None,
     workers: int | None = None,
     strategy: str = "batched",
-    executor: str | None = None,
 ) -> np.ndarray:
     """Return per walk the step at which it has visited every node.
 
@@ -761,5 +689,5 @@ def walk_cover_steps(
     with telemetry.current().span("markov.walk.cover_steps"):
         return _run_walks(
             "cover", graph, chosen, seed, out, max_steps,
-            chunk_size, workers, strategy, executor,
+            chunk_size, workers, strategy,
         )

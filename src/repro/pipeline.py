@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from contextlib import nullcontext
-
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.chunking import run_chunks
 from repro.cores.statistics import core_structure
 from repro.datasets import available_datasets, dataset_fingerprint, load_dataset
@@ -201,13 +199,6 @@ class Pipeline:
     graph_stage:
         Name of the stage producing the subject :class:`Graph`; its
         result's digest keys every stage without an explicit digest.
-    executor:
-        Execution backend advertised ambiently to every engine call
-        the stage functions make (:func:`repro.parallel.execution`).
-        Stage closures themselves stay thread-scheduled — they are not
-        picklable — but with ``executor="process"`` the batch engines,
-        the walk engine and the BP engine they invoke fan their chunks
-        out over the shared-memory process pool.
     """
 
     def __init__(
@@ -216,7 +207,6 @@ class Pipeline:
         store: ArtifactStore | None = None,
         workers: int | None = None,
         graph_stage: str | None = None,
-        executor: str | None = None,
     ) -> None:
         names = [s.name for s in stages]
         if len(set(names)) != len(names):
@@ -233,7 +223,6 @@ class Pipeline:
         self._graph_stage = graph_stage
         self._store = store
         self._workers = workers
-        self._executor = executor
         self._order = self._topological_order()
 
     @property
@@ -298,17 +287,7 @@ class Pipeline:
         results: dict[str, Any] = {}
         runs: dict[str, StageRun] = {}
         pending = [n for n in self._order if n in needed]
-        tel = telemetry.current()
-        # With an executor set, every engine call inside the stage
-        # functions inherits it ambiently; the wave scheduler itself
-        # stays thread-based (stage closures are not picklable).
-        scope = (
-            parallel.execution(executor=self._executor, workers=self._workers)
-            if self._executor is not None
-            else nullcontext()
-        )
-        with scope:
-            self._run_waves(pending, results, runs, tel)
+        self._run_waves(pending, results, runs, telemetry.current())
         ordered = [runs[n] for n in self._order if n in runs]
         return PipelineResult(results, ordered)
 
@@ -460,7 +439,6 @@ def paper_measurement_pipeline(
     num_controllers: int = 2,
     store: ArtifactStore | None = None,
     workers: int | None = None,
-    executor: str | None = None,
 ) -> Pipeline:
     """Build the standard paper DAG for one target graph.
 
@@ -559,10 +537,7 @@ def paper_measurement_pipeline(
             },
         ),
     ]
-    return Pipeline(
-        stages, store=store, workers=workers, graph_stage="load",
-        executor=executor,
-    )
+    return Pipeline(stages, store=store, workers=workers, graph_stage="load")
 
 
 def fusion_comparison_pipeline(
@@ -574,7 +549,6 @@ def fusion_comparison_pipeline(
     suspect_sample: int = 120,
     store: ArtifactStore | None = None,
     workers: int | None = None,
-    executor: str | None = None,
 ) -> Pipeline:
     """Build the fusion-vs-structure ablation DAG for one target graph.
 
@@ -671,7 +645,4 @@ def fusion_comparison_pipeline(
             version=2,
         ),
     ]
-    return Pipeline(
-        stages, store=store, workers=workers, graph_stage="load",
-        executor=executor,
-    )
+    return Pipeline(stages, store=store, workers=workers, graph_stage="load")

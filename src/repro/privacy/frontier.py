@@ -384,7 +384,6 @@ def privacy_frontier_pipeline(
     walk_lengths: Sequence[int] | None = None,
     store=None,
     workers: int | None = None,
-    executor: str | None = None,
 ):
     """Build the privacy-frontier sweep as a memoized pipeline DAG.
 
@@ -481,10 +480,4 @@ def privacy_frontier_pipeline(
             version=2,
         )
     )
-    return Pipeline(
-        stages,
-        store=store,
-        workers=workers,
-        graph_stage="load",
-        executor=executor,
-    )
+    return Pipeline(stages, store=store, workers=workers, graph_stage="load")

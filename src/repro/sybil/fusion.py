@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import parallel, telemetry
+from repro import telemetry
 from repro.chunking import resolve_chunks, run_chunks
 from repro.errors import SybilDefenseError
 from repro.graph.core import Graph
@@ -261,7 +261,6 @@ def loopy_belief_propagation(
     chunk_size: int | None = None,
     workers: int | None = None,
     strategy: str = "batched",
-    executor: str | None = None,
 ) -> BeliefPropagationResult:
     """Run pairwise-potential loopy BP and return per-node beliefs.
 
@@ -275,11 +274,6 @@ def loopy_belief_propagation(
     ``chunk_size``/``workers`` chunk the per-round half-edge update
     through :mod:`repro.chunking`; ``strategy="sequential"`` replays the
     identical arithmetic one edge at a time (the differential oracle).
-    ``executor="process"`` keeps the message state in shared memory and
-    dispatches every round's chunk grid to the persistent process pool
-    (one dispatch generation, so workers attach the buffers once) —
-    the GIL-bound workload where the process backend pays off, and
-    still bit-identical to the thread and sequential paths.
     """
     priors = _validate_priors(graph, priors)
     if strategy not in ("batched", "sequential"):
@@ -302,49 +296,39 @@ def loopy_belief_propagation(
     converged = num_half_edges == 0 or max_rounds == 0
     delta = 0.0
     rounds = 0
-    kind, workers = parallel.resolve_execution(executor, workers)
     # element-wise rounds: one chunk per worker unless overridden
     chunks = resolve_chunks(num_half_edges, chunk_size, workers, max_size=None)
-    processes = strategy == "batched" and parallel.use_processes(
-        kind, workers, len(chunks)
-    )
     tel = telemetry.current()
     with tel.span("sybil.fusion.bp"):
-        if processes and num_half_edges and max_rounds:
-            logm, converged, delta, rounds = _bp_rounds_processes(
-                n, src, dst, twin, log_w, log_not_w, log_phi,
-                max_rounds, damping, tol, chunks, workers,
-            )
-        else:
-            for _ in range(max_rounds if num_half_edges else 0):
-                rounds += 1
-                acc = _aggregate_incoming(n, dst, logm)
-                new_logm = np.empty_like(logm)
-                diffs = np.empty(num_half_edges)
-                if strategy == "sequential":
-                    _bp_round_sequential(
-                        slice(0, num_half_edges),
-                        src, twin, log_w, log_not_w, log_phi, acc,
-                        logm, damping, new_logm, diffs,
-                    )
-                else:
+        for _ in range(max_rounds if num_half_edges else 0):
+            rounds += 1
+            acc = _aggregate_incoming(n, dst, logm)
+            new_logm = np.empty_like(logm)
+            diffs = np.empty(num_half_edges)
+            if strategy == "sequential":
+                _bp_round_sequential(
+                    slice(0, num_half_edges),
+                    src, twin, log_w, log_not_w, log_phi, acc,
+                    logm, damping, new_logm, diffs,
+                )
+            else:
 
-                    def run_chunk(columns: slice) -> None:
-                        with tel.span("sybil.fusion.bp.chunk"):
-                            _bp_round_block(
-                                columns,
-                                src, twin, log_w, log_not_w, log_phi, acc,
-                                logm, damping, new_logm, diffs,
-                            )
+                def run_chunk(columns: slice) -> None:
+                    with tel.span("sybil.fusion.bp.chunk"):
+                        _bp_round_block(
+                            columns,
+                            src, twin, log_w, log_not_w, log_phi, acc,
+                            logm, damping, new_logm, diffs,
+                        )
 
-                    run_chunks(run_chunk, chunks, workers)
-                tel.count("sybil.fusion.bp.rounds")
-                tel.count("sybil.fusion.bp.messages", num_half_edges)
-                logm = new_logm
-                delta = float(diffs.max())
-                if delta <= tol:
-                    converged = True
-                    break
+                run_chunks(run_chunk, chunks, workers)
+            tel.count("sybil.fusion.bp.rounds")
+            tel.count("sybil.fusion.bp.messages", num_half_edges)
+            logm = new_logm
+            delta = float(diffs.max())
+            if delta <= tol:
+                converged = True
+                break
         beliefs = log_phi + _aggregate_incoming(n, dst, logm)
         # per-row softmax; rows sum to 1 up to one final division
         z = np.logaddexp(beliefs[:, 0], beliefs[:, 1])
@@ -353,101 +337,6 @@ def loopy_belief_propagation(
     return BeliefPropagationResult(
         beliefs=beliefs, converged=bool(converged), rounds=rounds, delta=delta
     )
-
-
-def _bp_process_chunk(payload: dict, columns: slice) -> None:
-    """Process-backend chunk task: one half-edge block of one BP round."""
-    tel = telemetry.current()
-    with tel.span("sybil.fusion.bp.chunk"):
-        _bp_round_block(
-            columns,
-            parallel.resolve(payload["src"]),
-            parallel.resolve(payload["twin"]),
-            parallel.resolve(payload["log_w"]),
-            parallel.resolve(payload["log_not_w"]),
-            parallel.resolve(payload["log_phi"]),
-            parallel.resolve(payload["acc"]),
-            parallel.resolve(payload["logm"]),
-            payload["damping"],
-            parallel.resolve(payload["new_logm"]),
-            parallel.resolve(payload["diffs"]),
-        )
-
-
-def _bp_rounds_processes(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    twin: np.ndarray,
-    log_w: np.ndarray,
-    log_not_w: np.ndarray,
-    log_phi: np.ndarray,
-    max_rounds: int,
-    damping: float,
-    tol: float,
-    chunks: list[slice],
-    workers: int,
-) -> tuple[np.ndarray, bool, float, int]:
-    """Run the BP round loop with shared-memory message state.
-
-    Static arrays are shared once; the message block, the per-round
-    aggregate, the update buffer and the diff vector live in shared
-    output segments the parent mutates between dispatches.  All rounds
-    reuse one :func:`repro.parallel.call_token` generation, so workers
-    attach every buffer exactly once.
-    """
-    num_half_edges = dst.size
-    specs: list = []
-
-    def shared(array: np.ndarray):
-        spec = parallel.share_array(array)
-        specs.append(spec)
-        return spec
-
-    try:
-        acc_spec, acc = parallel.create_output((n, 2), float)
-        specs.append(acc_spec)
-        logm_spec, logm = parallel.create_output(
-            (num_half_edges, 2), float, fill=np.log(0.5)
-        )
-        specs.append(logm_spec)
-        new_spec, new_logm = parallel.create_output((num_half_edges, 2), float)
-        specs.append(new_spec)
-        diffs_spec, diffs = parallel.create_output((num_half_edges,), float)
-        specs.append(diffs_spec)
-        payload = {
-            "src": shared(src),
-            "twin": shared(twin),
-            "log_w": shared(log_w),
-            "log_not_w": shared(log_not_w),
-            "log_phi": shared(log_phi),
-            "acc": acc_spec,
-            "logm": logm_spec,
-            "new_logm": new_spec,
-            "diffs": diffs_spec,
-            "damping": damping,
-        }
-        token = parallel.call_token()
-        tel = telemetry.current()
-        converged = False
-        delta = 0.0
-        rounds = 0
-        for _ in range(max_rounds):
-            rounds += 1
-            acc[...] = _aggregate_incoming(n, dst, logm)
-            parallel.run_process_chunks(
-                _bp_process_chunk, payload, chunks, workers, call=token
-            )
-            tel.count("sybil.fusion.bp.rounds")
-            tel.count("sybil.fusion.bp.messages", num_half_edges)
-            logm[...] = new_logm
-            delta = float(diffs.max())
-            if delta <= tol:
-                converged = True
-                break
-        return np.array(logm), converged, delta, rounds
-    finally:
-        parallel.release(specs)
 
 
 def _bp_round_block(
@@ -552,7 +441,6 @@ class FusionConfig:
     chunk_size: int | None = None
     workers: int | None = None
     strategy: str = "batched"
-    executor: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.5 < self.homophily < 1.0:
@@ -642,7 +530,6 @@ class SybilFrame:
                 chunk_size=cfg.chunk_size,
                 workers=cfg.workers,
                 strategy=cfg.strategy,
-                executor=cfg.executor,
             )
         return SybilFrameResult(
             posterior=result.honest_posterior,
@@ -721,7 +608,6 @@ class SybilFuse:
             chunk_size=cfg.chunk_size,
             workers=cfg.workers,
             strategy=cfg.strategy,
-            executor=cfg.executor,
         )
         trust = counts / np.maximum(self._graph.degrees.astype(float), 1.0)
         peak = trust.max()
@@ -744,7 +630,6 @@ class SybilFuse:
                 chunk_size=cfg.chunk_size,
                 workers=cfg.workers,
                 strategy=cfg.strategy,
-                executor=cfg.executor,
             )
             trust = self.walk_trust(trusted, priors)
             scores = (

@@ -299,63 +299,6 @@ class Telemetry:
         return target
 
     # ------------------------------------------------------------------
-    # cross-process transfer
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        """Raw, lossless registry state for :meth:`merge`.
-
-        Unlike :meth:`as_dict` (which summarizes distributions), the
-        snapshot carries raw samples, so a child process's registry can
-        be folded into the parent's without losing percentile fidelity.
-        The payload is plain JSON-able/picklable data.
-        """
-        with self._lock:
-            return {
-                "spans": {
-                    path: [s.count, s.wall_seconds, s.cpu_seconds]
-                    for path, s in self._spans.items()
-                },
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "distributions": {
-                    name: list(samples)
-                    for name, samples in self._distributions.items()
-                },
-            }
-
-    def merge(self, snapshot: dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry.
-
-        Spans and counters add; gauges merge by running max (a child's
-        "last value" has no ordering against the parent's, and every
-        multi-process gauge in the repo — residency peaks, pool sizes,
-        utilization — is peak-semantics under merge); distribution
-        samples append under the usual capacity bound.
-        """
-        if not self._enabled:
-            return
-        with self._lock:
-            for path, (count, wall, cpu) in snapshot.get("spans", {}).items():
-                stats = self._spans.get(path)
-                if stats is None:
-                    stats = self._spans[path] = SpanStats(path.rsplit("/", 1)[-1])
-                stats.count += count
-                stats.wall_seconds += wall
-                stats.cpu_seconds += cpu
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                prev = self._gauges.get(name)
-                if prev is None or value > prev:
-                    self._gauges[name] = float(value)
-            for name, samples in snapshot.get("distributions", {}).items():
-                buffer = self._distributions.setdefault(name, [])
-                buffer.extend(float(v) for v in samples)
-                if len(buffer) > DISTRIBUTION_CAPACITY:
-                    del buffer[: len(buffer) - DISTRIBUTION_CAPACITY]
-
-    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _span_stack(self) -> list[str]:

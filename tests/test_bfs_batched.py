@@ -38,7 +38,7 @@ from repro.graph.bfs_batch import validate_sources
 from repro.sybil import TicketPlan, ticket_plans
 from repro.sybil.tickets import adaptive_ticket_count
 
-CHUNK_SIZES = [1, 2, 5, 64, 1000]
+CHUNK_SIZES = [1, 2, 5, 64, 1000, None]
 WORKER_COUNTS = [1, 2, 4]
 
 

@@ -230,6 +230,30 @@ class TestPipeline:
         assert "gatekeeper" not in out
 
 
+class TestWorkersArgument:
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pipeline", "run"],
+            ["pipeline", "stages"],
+            ["sybil", "compare"],
+            ["privacy", "sweep"],
+        ],
+        ids=lambda command: "-".join(command),
+    )
+    def test_non_positive_workers_rejected_at_parse_time(
+        self, command, workers, capsys
+    ):
+        argv = [*command, "--target", "wiki_vote", "--scale", "0.05"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "--workers" in err
+
+
 class TestObservability:
     ARGS = ["--target", "wiki_vote", "--scale", "0.05", "--sources", "5"]
 

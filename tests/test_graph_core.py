@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,9 @@ class TestRoundTrip:
             square_with_tail.edge_array(), num_nodes=square_with_tail.num_nodes
         )
         assert rebuilt == square_with_tail
+
+    def test_pickle_round_trip(self, square_with_tail):
+        clone = pickle.loads(pickle.dumps(square_with_tail))
+        assert clone == square_with_tail
+        assert clone.indptr.dtype == square_with_tail.indptr.dtype
+        assert clone.indices.dtype == square_with_tail.indices.dtype

@@ -197,7 +197,9 @@ class TestStrategyEquivalence:
         np.testing.assert_allclose(bat.tvd, seq.tvd, atol=1e-12)
         assert bat.tvd.tobytes() == seq.tvd.tobytes()
 
-    @pytest.mark.parametrize("chunk_size,workers", [(1, None), (5, None), (4, 2), (3, 4)])
+    @pytest.mark.parametrize(
+        "chunk_size,workers", [(1, None), (5, None), (4, 2), (3, 4), (None, 4)]
+    )
     def test_chunked_and_threaded_identical(self, ba_small, chunk_size, workers):
         kwargs = dict(walk_lengths=[1, 2, 4, 8], num_sources=30, seed=2)
         seq = sampled_mixing_profile(ba_small, strategy="sequential", **kwargs)
